@@ -127,6 +127,7 @@ class PhasedInjectionAdversary:
         self._last_was_injection = False
         self._harm_cache: dict[int, PeriodicSet] = {}
         self._true = all_integers()
+        self._safe = q_set(self.phase)  # Q(-phase), rebuilt only when the phase advances
         self.injections: list[tuple[int, int]] = []  # (step, depth)
         self._step = 0
 
@@ -145,9 +146,10 @@ class PhasedInjectionAdversary:
         if not output.is_index:
             return
         guessed = self.coll_true.at(output.value)
-        if guessed == q_set(self.phase):
+        if guessed == self._safe:
             self._pending.append(self.phase)
             self.phase += 1
+            self._safe = q_set(self.phase)
 
     def current_pair(self) -> tuple[PeriodicSet, PeriodicSet]:
         depth = self.phase - 1

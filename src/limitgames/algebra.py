@@ -6,6 +6,13 @@ unbounded tail.  The representation is canonical, so structural equality
 decides set equality, and every query (membership, Boolean combination,
 cardinality class, subset) is answered exactly with bounded arithmetic.
 
+Cost model: canonicalization, ``|``, ``&``, ``-`` and ``complement`` do
+residue arithmetic on the tails and visit only the listed window members,
+so each costs O(listed members of the operands and the result + lcm of the
+tail periods), however far apart the window bounds lie.  Universe-order
+scans (``prefix``, ``iter_universe_order``, ``first_not_in``) still test
+one rank at a time.
+
 The universe is enumerated in zigzag order 0, 1, -1, 2, -2, ...;
 ``universe_elem`` and ``universe_index`` convert between 1-based ranks and
 integers.
@@ -13,9 +20,12 @@ integers.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def universe_elem(rank: int) -> int:
@@ -114,13 +124,18 @@ class PeriodicSet:
             raise ValueError("periods must be positive")
         if lo > hi:
             raise ValueError(f"window bounds out of order: [{lo}, {hi}]")
-        if any(not 0 <= r < neg_period for r in nr):
+        if nr and not (0 <= min(nr) and max(nr) < neg_period):
             raise ValueError("negative-tail residue out of range")
-        if any(not 0 <= r < pos_period for r in pr):
+        if pr and not (0 <= min(pr) and max(pr) < pos_period):
             raise ValueError("positive-tail residue out of range")
-        if any(not lo <= x <= hi for x in win):
+        if win and not (lo <= min(win) and max(win) <= hi):
             raise ValueError("window member outside [lo, hi]")
-        return _canonicalize(neg_period, nr, lo, hi, win, pos_period, pr)
+        return _settle(
+            (lo, hi + 1),
+            ((neg_period, nr), (1, _NONE), (pos_period, pr)),
+            sorted(win),
+            win,
+        )
 
     @staticmethod
     def empty() -> "PeriodicSet":
@@ -258,22 +273,26 @@ class PeriodicSet:
     # ------------------------------------------------------------------
 
     def __or__(self, other: "PeriodicSet") -> "PeriodicSet":
-        return _combine(self, other, lambda p, q: p or q)
+        return _combine(self, other, operator.or_)
 
     def __and__(self, other: "PeriodicSet") -> "PeriodicSet":
-        return _combine(self, other, lambda p, q: p and q)
+        return _combine(self, other, operator.and_)
 
     def __sub__(self, other: "PeriodicSet") -> "PeriodicSet":
-        return _combine(self, other, lambda p, q: p and not q)
+        return _combine(self, other, operator.sub)
 
     def complement(self) -> "PeriodicSet":
         """Complement within the full set of integers."""
-        nr = frozenset(r for r in range(self.neg_period) if r not in self.neg_residues)
-        pr = frozenset(r for r in range(self.pos_period) if r not in self.pos_residues)
-        win = frozenset(
-            x for x in range(self.lo, self.hi + 1) if x not in self.window
+        return _settle(
+            (self.lo, self.hi + 1),
+            (
+                _negate(self.neg_period, self.neg_residues),
+                (1, _ALL),
+                _negate(self.pos_period, self.pos_residues),
+            ),
+            sorted(self.window),
+            _NONE,
         )
-        return _canonicalize(self.neg_period, nr, self.lo, self.hi, win, self.pos_period, pr)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -286,135 +305,232 @@ class PeriodicSet:
 # ----------------------------------------------------------------------
 # Canonicalization
 # ----------------------------------------------------------------------
+#
+# A rule is a pair (period, residues): x follows it when x % period is in
+# residues.  The operations below describe their result piecewise: cut
+# points split the integers into consecutive pieces, each following one
+# rule, except at finitely many listed points whose membership is given
+# explicitly.  A window is the rule "absent" with its members listed, so the
+# work is proportional to the listed points, the periods and the result,
+# never to the distance between the cut points.
+
+_NONE: frozenset[int] = frozenset()
+_ALL: frozenset[int] = frozenset({0})
+
+Rule = tuple[int, frozenset[int]]
 
 
-def _minimal_rule(period: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:
+def _minimal_rule(period: int, residues: frozenset[int]) -> Rule:
     # Smallest divisor of the period under which the residue set is shift
     # invariant; the reduced rule decides the same predicate.
-    for cand in range(1, period + 1):
-        if period % cand:
-            continue
-        if all(((r + cand) % period in residues) == (r in residues) for r in range(period)):
-            return cand, frozenset(r for r in range(cand) if r in residues)
+    for cand in range(1, period):
+        if period % cand == 0 and frozenset((r + cand) % period for r in residues) == residues:
+            return cand, frozenset(r for r in residues if r < cand)
     return period, residues
 
 
-def _canonicalize(
-    neg_period: int,
-    neg_residues: frozenset[int],
-    lo: int,
-    hi: int,
-    window: frozenset[int],
-    pos_period: int,
-    pos_residues: frozenset[int],
+def _lift(residues: frozenset[int], period: int, to: int) -> frozenset[int]:
+    """The same rule over ``to``, a multiple of ``period``."""
+    if period == to:
+        return residues
+    return frozenset(r + k for k in range(0, to, period) for r in residues)
+
+
+def _negate(period: int, residues: frozenset[int]) -> Rule:
+    return period, frozenset(range(period)) - residues
+
+
+def _rule_at(s: PeriodicSet, x: int) -> Rule:
+    """The rule ``s`` follows at ``x``; inside the window, absent."""
+    if x < s.lo:
+        return s.neg_period, s.neg_residues
+    if x > s.hi:
+        return s.pos_period, s.pos_residues
+    return 1, _NONE
+
+
+def _first_diff(
+    start: int, stop: int | None, step: int, rule: Rule, tail: Rule, skip: list[int]
+) -> int | None:
+    """First x from ``start`` towards ``stop`` (inclusive, None for no end),
+    moving by ``step`` (1 or -1) and passing over the sorted list ``skip``,
+    where ``rule`` and ``tail`` disagree; None if there is no such x."""
+    (p1, r1), (p2, r2) = rule, tail
+    period = lcm(p1, p2)
+    offsets = [
+        d
+        for d in range(0, period * step, step)
+        if ((start + d) % p1 in r1) != ((start + d) % p2 in r2)
+    ]
+    if not offsets:
+        return None
+    base = start
+    while True:
+        for d in offsets:
+            x = base + d
+            if stop is not None and (x - stop) * step > 0:
+                return None
+            i = bisect_left(skip, x)
+            if i == len(skip) or skip[i] != x:
+                return x
+        base += period * step
+
+
+def _rule_members(rule: Rule, lo: int, hi: int) -> Iterable[int]:
+    """Members of ``rule`` in [lo, hi]."""
+    period, residues = rule
+    if len(residues) == period:
+        return range(lo, hi + 1)
+    offsets = sorted((r - lo) % period for r in residues)
+    return [x for base in range(lo, hi + 1, period) for d in offsets if (x := base + d) <= hi]
+
+
+def _members_at(s: PeriodicSet, points: list[int]) -> frozenset[int]:
+    """The members of ``s`` among the sorted ``points``."""
+    tails: list[int] = []
+    if s.neg_residues:
+        p, r = s.neg_period, s.neg_residues
+        tails += [x for x in points[: bisect_left(points, s.lo)] if x % p in r]
+    if s.pos_residues:
+        p, r = s.pos_period, s.pos_residues
+        tails += [x for x in points[bisect_right(points, s.hi) :] if x % p in r]
+    return s.window.union(tails) if tails else s.window
+
+
+def _settle(
+    cuts: Sequence[int], rules: Sequence[Rule], points: list[int], inside: frozenset[int]
 ) -> PeriodicSet:
-    """Reduce both tail rules to minimal period and the window to the unique
-    tightest placement, so equal sets get identical field tuples."""
-    np_, nr = _minimal_rule(neg_period, neg_residues)
-    pp, pr = _minimal_rule(pos_period, pos_residues)
+    """Canonical form of a piecewise description.
 
-    def mem(x: int) -> bool:
-        if x < lo:
-            return x % np_ in nr
-        if x > hi:
-            return x % pp in pr
-        return x in window
-
-    def neg_rule(x: int) -> bool:
-        return x % np_ in nr
-
-    def pos_rule(x: int) -> bool:
-        return x % pp in pr
-
-    period = lcm(np_, pp)
-    rules_differ = any(neg_rule(r) != pos_rule(r) for r in range(period))
+    ``cuts`` is increasing; piece 0 is everything below ``cuts[0]``, piece i
+    is [cuts[i-1], cuts[i]) and the last piece everything from ``cuts[-1]``
+    up.  Piece i follows ``rules[i]``, except at the sorted ``points`` (all
+    inside [cuts[0], cuts[-1])), where x is a member exactly when it is in
+    ``inside``.  Both tail rules are reduced to minimal period and the
+    window is placed at the unique tightest position, so equal sets get
+    identical field tuples.
+    """
+    np_, nr = _minimal_rule(*rules[0])
+    pp, pr = _minimal_rule(*rules[-1])
+    last = len(cuts)
 
     # a: least point violating the negative-tail rule (None if there is none).
-    a: int | None = None
-    for x in range(lo, hi + 1):
-        if mem(x) != neg_rule(x):
+    a = None
+    for x in points:
+        if (x in inside) != (x % np_ in nr):
             a = x
             break
-    if a is None and rules_differ:
-        for x in range(hi + 1, hi + 1 + period):
-            if pos_rule(x) != neg_rule(x):
-                a = x
-                break
+    tail = (np_, nr)
+    for i in range(1, last + 1):
+        if a is not None and cuts[i - 1] >= a:
+            break
+        if rules[i] == tail:
+            continue
+        end = cuts[i] - 1 if i < last else None
+        x = _first_diff(cuts[i - 1], end, 1, rules[i], tail, points)
+        if x is not None:
+            a = x if a is None else min(a, x)
+            break
 
     # b: greatest point violating the positive-tail rule.
-    b: int | None = None
-    for x in range(hi, lo - 1, -1):
-        if mem(x) != pos_rule(x):
+    b = None
+    for x in reversed(points):
+        if (x in inside) != (x % pp in pr):
             b = x
             break
-    if b is None and rules_differ:
-        for x in range(lo - 1, lo - 1 - period, -1):
-            if neg_rule(x) != pos_rule(x):
-                b = x
-                break
+    tail = (pp, pr)
+    for i in range(last - 1, -1, -1):
+        if b is not None and cuts[i] - 1 <= b:
+            break
+        if rules[i] == tail:
+            continue
+        start = cuts[i - 1] if i else None
+        x = _first_diff(cuts[i] - 1, start, -1, rules[i], tail, points)
+        if x is not None:
+            b = x if b is None else max(b, x)
+            break
 
     if a is not None and b is not None and a <= b:
-        new_lo, new_hi = a, b
+        lo, hi = a, b
     else:
         # Degenerate case: any single-cell window inside [b, a] works, so
         # anchor it at the point of [b, a] closest to zero.
         c = min(a, 0) if a is not None else 0
         if b is not None:
             c = max(b, c)
-        new_lo = new_hi = c
+        lo = hi = c
 
-    new_window = frozenset(x for x in range(new_lo, new_hi + 1) if mem(x))
-    return PeriodicSet(np_, nr, new_lo, new_hi, new_window, pp, pr)
+    # ``inside`` is a subset of ``points``: keep the part within [lo, hi],
+    # then add the rule members of the pieces there, minus the listed points.
+    window = inside
+    if points and (points[0] < lo or points[-1] > hi):
+        window = inside.intersection(points[bisect_left(points, lo) : bisect_right(points, hi)])
+    extra: set[int] = set()
+    for i, rule in enumerate(rules):
+        if rule[1]:
+            start = max(cuts[i - 1], lo) if i else lo
+            end = min(cuts[i] - 1, hi) if i < last else hi
+            if start <= end:
+                extra.update(_rule_members(rule, start, end))
+    if extra:
+        extra.difference_update(points)
+        window = window.union(extra)
+    return PeriodicSet(np_, nr, lo, hi, window, pp, pr)
 
 
 def _combine(
-    a: PeriodicSet, b: PeriodicSet, op: Callable[[bool, bool], bool]
+    a: PeriodicSet,
+    b: PeriodicSet,
+    op: Callable[[frozenset[int], frozenset[int]], frozenset[int]],
 ) -> PeriodicSet:
-    # Pointwise combination: lcm of tail periods, window widened past both
-    # operands by a full period on each side, then re-canonicalized.
-    np_ = lcm(a.neg_period, b.neg_period)
-    pp = lcm(a.pos_period, b.pos_period)
-    nr = frozenset(
-        r
-        for r in range(np_)
-        if op(r % a.neg_period in a.neg_residues, r % b.neg_period in b.neg_residues)
-    )
-    pr = frozenset(
-        r
-        for r in range(pp)
-        if op(r % a.pos_period in a.pos_residues, r % b.pos_period in b.pos_residues)
-    )
-    lo = min(a.lo, b.lo) - np_
-    hi = max(a.hi, b.hi) + pp
-    win = frozenset(x for x in range(lo, hi + 1) if op(x in a, x in b))
-    return _canonicalize(np_, nr, lo, hi, win, pp, pr)
+    # ``op`` is a pointwise set operation (|, & or -).  On each piece it
+    # combines the operands' rules over the lcm of their periods; at the
+    # listed members of either window it combines exact memberships.
+    cuts = sorted({a.lo, a.hi + 1, b.lo, b.hi + 1})
+    rules = []
+    for x in (cuts[0] - 1, *cuts):
+        pa, ra = _rule_at(a, x)
+        pb, rb = _rule_at(b, x)
+        if pa == pb:
+            rules.append((pa, op(ra, rb)))
+        else:
+            period = lcm(pa, pb)
+            rules.append((period, op(_lift(ra, pa, period), _lift(rb, pb, period))))
+    points = sorted(a.window | b.window)
+    return _settle(cuts, rules, points, op(_members_at(a, points), _members_at(b, points)))
 
 
 # ----------------------------------------------------------------------
 # Named languages used throughout the proof-construction scenarios
 # ----------------------------------------------------------------------
+# Instances are immutable, so each fixed language is built once per process.
 
 
+@cache
 def all_integers() -> PeriodicSet:
     """I: every integer."""
     return PeriodicSet.build(1, {0}, 0, 0, {0}, 1, {0})
 
 
+@cache
 def odd_positives() -> PeriodicSet:
     """O: 1, 3, 5, ..."""
     return PeriodicSet.ray(1, 2)
 
 
+@cache
 def even_nonnegatives() -> PeriodicSet:
     """E: 0, 2, 4, ..."""
     return PeriodicSet.ray(0, 2)
 
 
+@cache
 def negative_integers() -> PeriodicSet:
     """N: -1, -2, -3, ..."""
     return PeriodicSet.ray(-1, -1)
 
 
+@cache
 def naturals() -> PeriodicSet:
     """0, 1, 2, ..."""
     return PeriodicSet.ray(0, 1)

@@ -27,11 +27,14 @@ the built-in adversarial families.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import learners
 from .adversaries import (
+    AdversaryError,
     DiagonalAdversary,
     FairInterleaver,
     PhasedInjectionAdversary,
@@ -39,6 +42,7 @@ from .adversaries import (
 )
 from .arena import GameKind, ScenarioError, ScenarioSpec
 from .families import (
+    CollectionError,
     LanguageCollection,
     diagonal_trap_collections,
     identification_trap_collections,
@@ -54,6 +58,16 @@ def _parse_set(text: str, what: str):
         return parse(text)
     except SetSpecError as exc:
         raise ScenarioError(f"bad set expression in {what}: {exc}") from None
+
+
+@contextmanager
+def _field(what: str) -> Iterator[None]:
+    """Report a collection or adversary rejected at load time as a
+    ScenarioError naming the scenario field it came from."""
+    try:
+        yield
+    except (CollectionError, AdversaryError) as exc:
+        raise ScenarioError(f"{what}: {exc}") from None
 
 
 @dataclass
@@ -146,13 +160,13 @@ def _build_collection(cfg: dict | None, side: str) -> LanguageCollection | None:
     if kind == "explicit":
         if "sets" not in cfg:
             raise ScenarioError("explicit collection needs a 'sets' list")
-        sets = [_parse_set(s, f"{side} collection") for s in cfg["sets"]]
-        telltales = None
-        if "telltales" in cfg:
-            telltales = {
-                int(i): frozenset(vals) for i, vals in cfg["telltales"].items()
-            }
-        return LanguageCollection.explicit(f"{side}-explicit", sets, telltales=telltales)
+        texts = cfg["sets"]
+        if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
+            raise ScenarioError(f"{side}_collection.sets must be a list of set expressions")
+        sets = [_parse_set(s, f"{side} collection") for s in texts]
+        telltales = _telltales(cfg["telltales"], side) if "telltales" in cfg else None
+        with _field(f"{side}_collection"):
+            return LanguageCollection.explicit(f"{side}-explicit", sets, telltales=telltales)
     if "sets" in cfg or "telltales" in cfg:
         raise ScenarioError(f"collection kind {kind!r} takes no sets or telltales")
     if kind == "identification_trap_true":
@@ -166,6 +180,24 @@ def _build_collection(cfg: dict | None, side: str) -> LanguageCollection | None:
     raise ScenarioError(f"unknown collection kind {kind!r}")
 
 
+def _telltales(obj, side: str) -> dict[int, frozenset[int]]:
+    where = f"{side}_collection.telltales"
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must map indices to lists of integers")
+    out: dict[int, frozenset[int]] = {}
+    for key, values in obj.items():
+        try:
+            index = int(key)
+        except ValueError:
+            raise ScenarioError(f"{where}: key {key!r} is not an integer index") from None
+        if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values
+        ):
+            raise ScenarioError(f"{where}[{key!r}] must be a list of integers")
+        out[index] = frozenset(values)
+    return out
+
+
 def _build_adversary(cfg: dict, true_coll, harm_coll):
     _require_keys(cfg, {"kind", "lang", "true", "harm"}, {"kind"}, "adversary")
     kind = cfg["kind"]
@@ -173,12 +205,16 @@ def _build_adversary(cfg: dict, true_coll, harm_coll):
         if "lang" not in cfg:
             raise ScenarioError("positive_stream needs a 'lang' set expression")
         lang = _parse_set(cfg["lang"], "adversary")
+        with _field("adversary.lang"):
+            PositiveStream(lang)
         return lambda: PositiveStream(lang)
     if kind == "fair_interleaver":
         if "true" not in cfg or "harm" not in cfg:
             raise ScenarioError("fair_interleaver needs 'true' and 'harm' expressions")
         true_lang = _parse_set(cfg["true"], "adversary")
         harm_lang = _parse_set(cfg["harm"], "adversary")
+        with _field("adversary"):
+            FairInterleaver(true_lang, harm_lang)
         return lambda: FairInterleaver(true_lang, harm_lang)
     if kind == "phased_injection":
         if true_coll is None:
@@ -187,7 +223,8 @@ def _build_adversary(cfg: dict, true_coll, harm_coll):
     if kind == "diagonal":
         if true_coll is None or harm_coll is None:
             raise ScenarioError("diagonal needs both collections")
-        validate_diagonal_trap(true_coll, harm_coll)
+        with _field("adversary"):
+            validate_diagonal_trap(true_coll, harm_coll)
         return lambda: DiagonalAdversary(true_coll, harm_coll)
     raise ScenarioError(f"unknown adversary kind {kind!r}")
 

@@ -1,0 +1,125 @@
+"""Pointwise reference forms of the set-algebra operations.
+
+These are the original width-proportional implementations: they test
+membership one integer at a time over a window widened by both tail
+periods.  They are slow but obviously correct, and the differential tests
+compare the residue-arithmetic operations of ``limitgames.algebra`` with
+them field for field.
+"""
+
+from __future__ import annotations
+
+from math import lcm
+from typing import Callable
+
+from limitgames.algebra import PeriodicSet
+
+
+def minimal_rule(period: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:
+    for cand in range(1, period + 1):
+        if period % cand:
+            continue
+        if all(((r + cand) % period in residues) == (r in residues) for r in range(period)):
+            return cand, frozenset(r for r in range(cand) if r in residues)
+    return period, residues
+
+
+def canonicalize(
+    neg_period: int,
+    neg_residues: frozenset[int],
+    lo: int,
+    hi: int,
+    window: frozenset[int],
+    pos_period: int,
+    pos_residues: frozenset[int],
+) -> PeriodicSet:
+    np_, nr = minimal_rule(neg_period, frozenset(neg_residues))
+    pp, pr = minimal_rule(pos_period, frozenset(pos_residues))
+    window = frozenset(window)
+
+    def mem(x: int) -> bool:
+        if x < lo:
+            return x % np_ in nr
+        if x > hi:
+            return x % pp in pr
+        return x in window
+
+    def neg_rule(x: int) -> bool:
+        return x % np_ in nr
+
+    def pos_rule(x: int) -> bool:
+        return x % pp in pr
+
+    period = lcm(np_, pp)
+    rules_differ = any(neg_rule(r) != pos_rule(r) for r in range(period))
+
+    a: int | None = None
+    for x in range(lo, hi + 1):
+        if mem(x) != neg_rule(x):
+            a = x
+            break
+    if a is None and rules_differ:
+        for x in range(hi + 1, hi + 1 + period):
+            if pos_rule(x) != neg_rule(x):
+                a = x
+                break
+
+    b: int | None = None
+    for x in range(hi, lo - 1, -1):
+        if mem(x) != pos_rule(x):
+            b = x
+            break
+    if b is None and rules_differ:
+        for x in range(lo - 1, lo - 1 - period, -1):
+            if neg_rule(x) != pos_rule(x):
+                b = x
+                break
+
+    if a is not None and b is not None and a <= b:
+        new_lo, new_hi = a, b
+    else:
+        c = min(a, 0) if a is not None else 0
+        if b is not None:
+            c = max(b, c)
+        new_lo = new_hi = c
+
+    new_window = frozenset(x for x in range(new_lo, new_hi + 1) if mem(x))
+    return PeriodicSet(np_, nr, new_lo, new_hi, new_window, pp, pr)
+
+
+def combine(a: PeriodicSet, b: PeriodicSet, op: Callable[[bool, bool], bool]) -> PeriodicSet:
+    np_ = lcm(a.neg_period, b.neg_period)
+    pp = lcm(a.pos_period, b.pos_period)
+    nr = frozenset(
+        r
+        for r in range(np_)
+        if op(r % a.neg_period in a.neg_residues, r % b.neg_period in b.neg_residues)
+    )
+    pr = frozenset(
+        r
+        for r in range(pp)
+        if op(r % a.pos_period in a.pos_residues, r % b.pos_period in b.pos_residues)
+    )
+    lo = min(a.lo, b.lo) - np_
+    hi = max(a.hi, b.hi) + pp
+    win = frozenset(x for x in range(lo, hi + 1) if op(x in a, x in b))
+    return canonicalize(np_, nr, lo, hi, win, pp, pr)
+
+
+def union(a: PeriodicSet, b: PeriodicSet) -> PeriodicSet:
+    return combine(a, b, lambda p, q: p or q)
+
+
+def intersection(a: PeriodicSet, b: PeriodicSet) -> PeriodicSet:
+    return combine(a, b, lambda p, q: p and q)
+
+
+def difference(a: PeriodicSet, b: PeriodicSet) -> PeriodicSet:
+    return combine(a, b, lambda p, q: p and not q)
+
+
+def complement(s: PeriodicSet) -> PeriodicSet:
+    nr = frozenset(r for r in range(s.neg_period) if r not in s.neg_residues)
+    pr = frozenset(r for r in range(s.pos_period) if r not in s.pos_residues)
+    win = frozenset(x for x in range(s.lo, s.hi + 1) if x not in s.window)
+    return canonicalize(s.neg_period, nr, s.lo, s.hi, win, s.pos_period, pr)

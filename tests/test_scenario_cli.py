@@ -231,3 +231,44 @@ def test_shipped_scenarios_run():
             continue
         result = run_game(loaded)
         assert result.verdict.converged == expected_converged[loaded.name], loaded.name
+
+
+def _run_bad(tmp_path, capsys, scenario):
+    path = write_json(tmp_path / "bad.json", scenario)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    return capsys.readouterr().err
+
+
+def test_cli_finite_collection_language_exits_2(tmp_path, capsys):
+    bad = gen_scenario()
+    bad["true_collection"]["sets"] = ["I", "Fin{1,2}"]
+    err = _run_bad(tmp_path, capsys, bad)
+    assert "error: true_collection:" in err and "index 2" in err
+
+
+def test_cli_finite_stream_language_exits_2(tmp_path, capsys):
+    bad = gen_scenario()
+    bad["adversary"] = {"kind": "positive_stream", "lang": "Fin{1}"}
+    err = _run_bad(tmp_path, capsys, bad)
+    assert "error: adversary.lang:" in err and "infinite" in err
+
+
+def test_cli_non_integer_telltale_key_exits_2(tmp_path, capsys):
+    bad = gen_scenario()
+    bad["true_collection"]["telltales"] = {"first": [1]}
+    err = _run_bad(tmp_path, capsys, bad)
+    assert "error: true_collection.telltales:" in err and "'first'" in err
+
+
+@pytest.mark.parametrize(
+    "collection,field",
+    [
+        ({"kind": "explicit", "sets": "I"}, "true_collection.sets"),
+        ({"kind": "explicit", "sets": ["I"], "telltales": [1]}, "true_collection.telltales"),
+        ({"kind": "explicit", "sets": ["I"], "telltales": {"1": 5}}, "true_collection.telltales"),
+    ],
+)
+def test_cli_malformed_collection_shapes_exit_2(tmp_path, capsys, collection, field):
+    bad = gen_scenario()
+    bad["true_collection"] = collection
+    assert f"error: {field}" in _run_bad(tmp_path, capsys, bad)
