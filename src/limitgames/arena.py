@@ -40,6 +40,8 @@ class ScenarioError(ValueError):
     """Raised when a scenario fails validation before step 1."""
 
 
+# Memo of committed-pair differences; run_game and rescore_trace clear it
+# when they start, so it holds one game's pairs, not a whole battery's.
 @lru_cache(maxsize=None)
 def _difference(true_lang: PeriodicSet, harm_lang: PeriodicSet) -> PeriodicSet:
     return true_lang - harm_lang
@@ -245,6 +247,7 @@ class RunResult:
 def run_game(spec: ScenarioSpec) -> RunResult:
     """Play the game to the horizon and judge the trailing window."""
     spec.validate()
+    _difference.cache_clear()
     adversary = spec.adversary_factory()
     learner = spec.learner_factory()
     revealed = RevealedSet()
@@ -315,6 +318,7 @@ def rescore_trace(
     trace: Trace, true_coll: LanguageCollection | None = None
 ) -> list[bool]:
     """Recompute per-step correctness of a stored trace from its own records."""
+    _difference.cache_clear()
     revealed = RevealedSet()
     pair: tuple[PeriodicSet, PeriodicSet] | None = None
     out: list[bool] = []

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``run PATH``: execute a scenario file (or battery) and write trace/verdict
   files; ``--expect converged|failed`` turns the verdict into the exit code.
-* ``demo NAME``: run a built-in experiment and print a short report.
+* ``demo NAME``: play a named experiment's games from the scenario catalogue
+  (``demos/scenarios/``) and print its exhibit check.
 * ``check-algebra``: run the randomized algebra property suite.
 * ``replay SCENARIO TRACE``: re-score a stored trace and compare verdicts.
 
@@ -18,10 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .adversaries import DiagonalAdversary, FairInterleaver, PhasedInjectionAdversary, PositiveStream
-from .algebra import all_integers, even_nonnegatives, odd_positives, q_set, y_set
 from .arena import (
-    GameKind,
     RunResult,
     ScenarioError,
     ScenarioSpec,
@@ -30,22 +28,8 @@ from .arena import (
     run_game,
     score_against_pair,
 )
-from .families import (
-    LanguageCollection,
-    diagonal_trap_collections,
-    identification_trap_collections,
-)
 from .fuzz import run_suite
-from .learners import (
-    ConservativePairGenerator,
-    CriticalGenerator,
-    EagerIdentifier,
-    NaiveIdentifier,
-    ProbeIdentifier,
-    StubbornIdentifier,
-)
 from .scenario import Battery, load_file
-from .setspec import parse
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,10 +96,7 @@ def _cmd_run(args) -> int:
     if isinstance(loaded, Battery):
         rows = []
         for path in loaded.paths:
-            spec = load_file(path)
-            if isinstance(spec, Battery):
-                raise ScenarioError(f"{path}: nested batteries are not supported")
-            spec = _apply_overrides(spec, args)
+            spec = _apply_overrides(_load_game(path), args)
             result = run_game(spec)
             _write_result(result, args.out)
             rows.append((spec.name, result.verdict))
@@ -136,6 +117,13 @@ def _cmd_run(args) -> int:
     if args.expect:
         return _expectation_exit(v.converged, args.expect)
     return 0
+
+
+def _load_game(path: Path) -> ScenarioSpec:
+    loaded = load_file(path)
+    if isinstance(loaded, Battery):
+        raise ScenarioError(f"{path}: expected a single scenario, found a battery")
+    return loaded
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
@@ -168,84 +156,29 @@ def _print_battery_table(rows) -> None:
 # ----------------------------------------------------------------------
 
 
-def _demo_sg_inf(out: Path | None) -> int:
+def _check_sg_inf(result: RunResult) -> int:
     """Infinite-difference promise: the conservative pair learner converges."""
-    true_coll = LanguageCollection.explicit(
-        "sg-inf-true", [all_integers(), odd_positives(), q_set(1)]
-    )
-    harm_coll = LanguageCollection.explicit("sg-inf-harm", [even_nonnegatives(), y_set(0)])
-    spec = ScenarioSpec(
-        name="sg-inf",
-        game=GameKind.SG_INF,
-        adversary_factory=lambda: FairInterleaver(odd_positives(), even_nonnegatives()),
-        learner_factory=lambda: ConservativePairGenerator(true_coll, harm_coll),
-        horizon=300,
-        window=50,
-        true_coll=true_coll,
-        harm_coll=harm_coll,
-    )
-    result = run_game(spec)
-    _maybe_write(result, out)
     v = result.verdict
-    print(f"sg-inf: converged={v.converged} at step {v.convergence_step} of {spec.horizon}")
+    print(f"sg-inf: converged={v.converged} at step {v.convergence_step} of {v.horizon}")
     print(f"sg-inf: final window correct {v.correct_in_final_window}/{v.window}")
     return 0 if v.converged else 1
 
 
-def _demo_safe_id_impossible(out: Path | None) -> int:
+def _check_safe_id_impossible(eager: RunResult, stubborn: RunResult) -> int:
     """Adaptive injections defeat safe-language identification."""
-    true_coll, harm_coll = identification_trap_collections()
-    eager = ScenarioSpec(
-        name="safe-id-impossible-eager",
-        game=GameKind.SI,
-        adversary_factory=lambda: PhasedInjectionAdversary(true_coll),
-        learner_factory=lambda: EagerIdentifier(true_coll),
-        horizon=2000,
-        window=50,
-        true_coll=true_coll,
-        harm_coll=harm_coll,
-    )
-    eager_result = run_game(eager)
-    _maybe_write(eager_result, out)
-    stubborn = ScenarioSpec(
-        name="safe-id-impossible-stubborn",
-        game=GameKind.SI,
-        adversary_factory=lambda: PhasedInjectionAdversary(true_coll),
-        learner_factory=lambda: StubbornIdentifier(),
-        horizon=2000,
-        window=50,
-        true_coll=true_coll,
-        harm_coll=harm_coll,
-    )
-    stubborn_result = run_game(stubborn)
-    _maybe_write(stubborn_result, out)
-    phases = eager_result.verdict.phase_transitions
-    stubborn_correct = sum(s.correct for s in stubborn_result.trace.steps)
+    phases = eager.verdict.phase_transitions
+    stubborn_correct = sum(s.correct for s in stubborn.trace.steps)
     print(f"safe-id-impossible: eager learner forced through {phases} phase transitions")
     print(
         "safe-id-impossible: stubborn learner correct steps "
-        f"{stubborn_correct}/{stubborn.horizon} (committed harm language stays Y(0))"
+        f"{stubborn_correct}/{stubborn.verdict.horizon} (committed harm language stays Y(0))"
     )
     return 0 if phases >= 5 and stubborn_correct == 0 else 1
 
 
-def _demo_oracle_not_enough(out: Path | None) -> int:
+def _check_oracle_not_enough(result: RunResult) -> int:
     """Exact emptiness answers still cannot rescue a prefix-critical generator."""
-    true_coll, harm_coll = diagonal_trap_collections()
-    spec = ScenarioSpec(
-        name="oracle-not-enough",
-        game=GameKind.SG,
-        adversary_factory=lambda: DiagonalAdversary(true_coll, harm_coll),
-        learner_factory=lambda: CriticalGenerator(true_coll),
-        horizon=2000,
-        window=50,
-        true_coll=true_coll,
-        harm_coll=harm_coll,
-    )
-    result = run_game(spec)
-    _maybe_write(result, out)
     adversary = result.adversary
-    assert isinstance(adversary, DiagonalAdversary)
     phases = result.verdict.phase_transitions
     clean = all(b.skipped_true == 0 and b.skipped_harm == 0 for b in adversary.boundaries)
     top_scores = score_against_pair(result.trace, *adversary.limit_pair())
@@ -253,7 +186,7 @@ def _demo_oracle_not_enough(out: Path | None) -> int:
         result.trace.steps[t - 1].output.is_generate and not top_scores[t - 1]
         for t in adversary.detection_steps
     )
-    print(f"oracle-not-enough: {phases} phase transitions in {spec.horizon} steps")
+    print(f"oracle-not-enough: {phases} phase transitions in {result.verdict.horizon} steps")
     print(f"oracle-not-enough: skipped queues empty at every boundary: {clean}")
     print(
         "oracle-not-enough: every detection-step output is unsafe against the "
@@ -262,67 +195,29 @@ def _demo_oracle_not_enough(out: Path | None) -> int:
     return 0 if phases >= 3 and clean and detection_ok else 1
 
 
-def _demo_reduction(out: Path | None) -> int:
+def _check_reduction(probe: RunResult, naive: RunResult) -> int:
     """Ordering consistent candidates with generation probes identifies; naive fails."""
-    coll = LanguageCollection.explicit("reduction", [all_integers(), odd_positives()])
-    probe = ScenarioSpec(
-        name="reduction-probe",
-        game=GameKind.LI,
-        adversary_factory=lambda: PositiveStream(odd_positives()),
-        learner_factory=lambda: ProbeIdentifier(coll),
-        horizon=300,
-        window=50,
-        true_coll=coll,
-    )
-    naive = ScenarioSpec(
-        name="reduction-naive",
-        game=GameKind.LI,
-        adversary_factory=lambda: PositiveStream(odd_positives()),
-        learner_factory=lambda: NaiveIdentifier(coll),
-        horizon=300,
-        window=50,
-        true_coll=coll,
-    )
-    probe_result = run_game(probe)
-    naive_result = run_game(naive)
-    _maybe_write(probe_result, out)
-    _maybe_write(naive_result, out)
-    pv, nv = probe_result.verdict, naive_result.verdict
+    pv, nv = probe.verdict, naive.verdict
     print(
         f"reduction: probe-ordered identifier converged={pv.converged} "
-        f"to index {probe_result.trace.steps[-1].output.value} "
+        f"to index {probe.trace.steps[-1].output.value} "
         f"(target {pv.target_index})"
     )
     print(
         f"reduction: naive identifier final-window correct "
         f"{nv.correct_in_final_window}/{nv.window}"
     )
-    ok = pv.converged and probe_result.trace.steps[-1].output.value == pv.target_index
+    ok = pv.converged and probe.trace.steps[-1].output.value == pv.target_index
     return 0 if ok and nv.correct_in_final_window == 0 else 1
 
 
-def _demo_conservative_fails(out: Path | None) -> int:
+def _check_conservative_fails(result: RunResult) -> int:
     """Smallest-true/largest-harm guessing can zero out a difference that is infinite."""
-    true_coll = LanguageCollection.explicit("cons-true", [all_integers()])
-    harm_coll = LanguageCollection.explicit("cons-harm", [y_set(0), all_integers()])
-    spec = ScenarioSpec(
-        name="conservative-fails",
-        game=GameKind.SG,
-        adversary_factory=lambda: FairInterleaver(all_integers(), y_set(0)),
-        learner_factory=lambda: ConservativePairGenerator(true_coll, harm_coll),
-        horizon=200,
-        window=50,
-        true_coll=true_coll,
-        harm_coll=harm_coll,
-    )
-    result = run_game(spec)
-    _maybe_write(result, out)
-    learner = result.learner
-    assert isinstance(learner, ConservativePairGenerator)
-    true_diff = (all_integers() - y_set(0)).cardinality()
+    true_lang, harm_lang = result.adversary.current_pair()
+    true_diff = (true_lang - harm_lang).cardinality()
     stuck = [
         rec
-        for rec in learner.choice_log
+        for rec in result.learner.choice_log
         if rec.diff is not None and rec.diff.is_bounded
     ]
     print(
@@ -339,22 +234,32 @@ def _demo_conservative_fails(out: Path | None) -> int:
     return 0 if stuck and true_diff.is_infinite else 1
 
 
+# The game catalogue, read from the source checkout (an editable install).
+CATALOGUE = Path(__file__).resolve().parents[2] / "demos" / "scenarios"
+
+# Each demo plays its catalogue files in order and passes their results to
+# its exhibit check, which prints the report and returns the exit code.
 DEMOS = {
-    "sg-inf": _demo_sg_inf,
-    "safe-id-impossible": _demo_safe_id_impossible,
-    "oracle-not-enough": _demo_oracle_not_enough,
-    "reduction": _demo_reduction,
-    "conservative-fails": _demo_conservative_fails,
+    "sg-inf": (("sg_inf.json",), _check_sg_inf),
+    "safe-id-impossible": (
+        ("safe_id_impossible_eager.json", "safe_id_impossible_stubborn.json"),
+        _check_safe_id_impossible,
+    ),
+    "oracle-not-enough": (("oracle_not_enough.json",), _check_oracle_not_enough),
+    "reduction": (("reduction_probe.json", "reduction_naive.json"), _check_reduction),
+    "conservative-fails": (("conservative_fails.json",), _check_conservative_fails),
 }
 
 
-def _maybe_write(result: RunResult, out: Path | None) -> None:
-    if out is not None:
-        _write_result(result, out)
-
-
 def _cmd_demo(args) -> int:
-    return DEMOS[args.name](args.out)
+    files, check = DEMOS[args.name]
+    results = []
+    for file in files:
+        result = run_game(_load_game(CATALOGUE / file))
+        if args.out is not None:
+            _write_result(result, args.out)
+        results.append(result)
+    return check(*results)
 
 
 # ----------------------------------------------------------------------
@@ -369,11 +274,9 @@ def _cmd_check_algebra(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    loaded = load_file(args.scenario)
-    if isinstance(loaded, Battery):
-        raise ScenarioError("replay needs a single scenario, not a battery")
+    spec = _load_game(args.scenario)
     trace = Trace.from_jsonl(args.trace.read_text())
-    recomputed = rescore_trace(trace, loaded.true_coll)
+    recomputed = rescore_trace(trace, spec.true_coll)
     stored = [s.correct for s in trace.steps]
     if recomputed != stored:
         first = next(i for i, (a, b) in enumerate(zip(stored, recomputed)) if a != b)

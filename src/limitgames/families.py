@@ -74,11 +74,6 @@ class RevealedSet:
     def contains(self, x: int) -> bool:
         return x in self.pos or x in self.neg
 
-    @property
-    def all(self) -> set[int]:
-        """Every element seen under either label (fresh set; O(n))."""
-        return self.pos | self.neg
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RevealedSet(step={self.step}, pos={sorted(self.pos)}, neg={sorted(self.neg)})"
 
@@ -134,17 +129,6 @@ class LanguageCollection:
             return items[min(i, len(items)) - 1]
 
         return cls(name, rule, length=len(items), telltales=telltales)
-
-    @classmethod
-    def family(
-        cls,
-        name: str,
-        rule: Callable[[int], PeriodicSet],
-        *,
-        length: int | None = None,
-        telltales: dict[int, frozenset[int]] | None = None,
-    ) -> "LanguageCollection":
-        return cls(name, rule, length=length, telltales=telltales)
 
     def at(self, i: int) -> PeriodicSet:
         if i < 1:
@@ -240,8 +224,8 @@ def identification_trap_collections() -> tuple[LanguageCollection, LanguageColle
         return y_set(i - 2)
 
     return (
-        LanguageCollection.family("id-trap-true", true_rule),
-        LanguageCollection.family("id-trap-harm", harm_rule),
+        LanguageCollection("id-trap-true", true_rule),
+        LanguageCollection("id-trap-harm", harm_rule),
     )
 
 
@@ -282,8 +266,8 @@ def diagonal_trap_collections() -> tuple[LanguageCollection, LanguageCollection]
         )
 
     return (
-        LanguageCollection.family("diag-trap-true", true_rule),
-        LanguageCollection.family("diag-trap-harm", harm_rule),
+        LanguageCollection("diag-trap-true", true_rule),
+        LanguageCollection("diag-trap-harm", harm_rule),
     )
 
 

@@ -53,7 +53,9 @@ from .setspec import SetSpecError, parse
 SCENARIO_VERSION = 1
 
 
-def _parse_set(text: str, what: str):
+def _parse_set(text: object, what: str):
+    if not isinstance(text, str):
+        raise ScenarioError(f"{what} must be a set expression string")
     try:
         return parse(text)
     except SetSpecError as exc:
@@ -77,6 +79,8 @@ class Battery:
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{what} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"unknown fields in {what}: {sorted(unknown)}")
@@ -101,10 +105,12 @@ def load_file(path: str | Path) -> ScenarioSpec | Battery:
         )
     if "battery" in obj:
         _require_keys(obj, {"version", "name", "battery"}, {"version", "battery"}, "battery file")
-        base = path.parent
+        entries = obj["battery"]
+        if not isinstance(entries, list) or not all(isinstance(p, str) for p in entries):
+            raise ScenarioError("battery must be a list of scenario file paths")
         return Battery(
-            name=obj.get("name", path.stem),
-            paths=[base / p for p in obj["battery"]],
+            name=_name(obj, path.stem),
+            paths=[path.parent / p for p in entries],
         )
     return parse_scenario(obj, default_name=path.stem)
 
@@ -132,7 +138,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> ScenarioSpec:
     adversary_factory = _build_adversary(obj["adversary"], true_coll, harm_coll)
     learner_factory = _build_learner(obj["learner"], true_coll, harm_coll)
     spec = ScenarioSpec(
-        name=obj.get("name", default_name),
+        name=_name(obj, default_name),
         game=game,
         adversary_factory=adversary_factory,
         learner_factory=learner_factory,
@@ -145,6 +151,14 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> ScenarioSpec:
     return spec
 
 
+def _name(obj: dict, default: str) -> str:
+    # The name becomes the stem of the trace and verdict file names.
+    name = obj.get("name", default)
+    if not isinstance(name, str) or not name or "/" in name or "\\" in name:
+        raise ScenarioError("name must be a non-empty string without path separators")
+    return name
+
+
 def _int_field(obj: dict, key: str) -> int:
     value = obj[key]
     if not isinstance(value, int) or isinstance(value, bool):
@@ -155,7 +169,7 @@ def _int_field(obj: dict, key: str) -> int:
 def _build_collection(cfg: dict | None, side: str) -> LanguageCollection | None:
     if cfg is None:
         return None
-    _require_keys(cfg, {"kind", "sets", "telltales"}, {"kind"}, f"{side} collection")
+    _require_keys(cfg, {"kind", "sets", "telltales"}, {"kind"}, f"{side}_collection")
     kind = cfg["kind"]
     if kind == "explicit":
         if "sets" not in cfg:
@@ -163,7 +177,7 @@ def _build_collection(cfg: dict | None, side: str) -> LanguageCollection | None:
         texts = cfg["sets"]
         if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
             raise ScenarioError(f"{side}_collection.sets must be a list of set expressions")
-        sets = [_parse_set(s, f"{side} collection") for s in texts]
+        sets = [_parse_set(s, f"{side}_collection.sets") for s in texts]
         telltales = _telltales(cfg["telltales"], side) if "telltales" in cfg else None
         with _field(f"{side}_collection"):
             return LanguageCollection.explicit(f"{side}-explicit", sets, telltales=telltales)
@@ -204,15 +218,15 @@ def _build_adversary(cfg: dict, true_coll, harm_coll):
     if kind == "positive_stream":
         if "lang" not in cfg:
             raise ScenarioError("positive_stream needs a 'lang' set expression")
-        lang = _parse_set(cfg["lang"], "adversary")
+        lang = _parse_set(cfg["lang"], "adversary.lang")
         with _field("adversary.lang"):
             PositiveStream(lang)
         return lambda: PositiveStream(lang)
     if kind == "fair_interleaver":
         if "true" not in cfg or "harm" not in cfg:
             raise ScenarioError("fair_interleaver needs 'true' and 'harm' expressions")
-        true_lang = _parse_set(cfg["true"], "adversary")
-        harm_lang = _parse_set(cfg["harm"], "adversary")
+        true_lang = _parse_set(cfg["true"], "adversary.true")
+        harm_lang = _parse_set(cfg["harm"], "adversary.harm")
         with _field("adversary"):
             FairInterleaver(true_lang, harm_lang)
         return lambda: FairInterleaver(true_lang, harm_lang)
@@ -255,8 +269,8 @@ def _build_learner(cfg: dict, true_coll, harm_coll):
     if kind == "reference":
         if "true" not in cfg or "harm" not in cfg:
             raise ScenarioError("reference learner needs 'true' and 'harm' expressions")
-        true_hyp = _parse_set(cfg["true"], "learner")
-        harm_hyp = _parse_set(cfg["harm"], "learner")
+        true_hyp = _parse_set(cfg["true"], "learner.true")
+        harm_hyp = _parse_set(cfg["harm"], "learner.harm")
         return lambda: learners.ReferenceGenerator(true_hyp, harm_hyp, strict=strict)
     if kind == "telltale":
         ct, ch = need_true(), need_harm()

@@ -1,20 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Scenario runs are cached at module scope so the byte-determinism
-criterion can re-run them for comparison without repeating every check.
+lines.  Every game comes from the scenario catalogue (``demos/scenarios/``)
+through the ``play`` fixture, which runs each file once per session, so the
+byte-determinism criterion can re-run them for comparison without repeating
+every check.
 """
 
 import time
 
-import pytest
-
-from limitgames.adversaries import (
-    DiagonalAdversary,
-    FairInterleaver,
-    PhasedInjectionAdversary,
-    PositiveStream,
-)
 from limitgames.algebra import (
     all_integers,
     even_nonnegatives,
@@ -23,186 +17,27 @@ from limitgames.algebra import (
     q_set,
     y_set,
 )
-from limitgames.arena import (
-    GameKind,
-    ScenarioSpec,
-    rescore_trace,
-    run_game,
-    score_against_pair,
-)
-from limitgames.families import (
-    LabeledExample,
-    LanguageCollection,
-    RevealedSet,
-    diagonal_trap_collections,
-    identification_trap_collections,
-)
+from limitgames.arena import rescore_trace, run_game, score_against_pair
+from limitgames.cli import CATALOGUE, DEMOS
+from limitgames.families import LabeledExample, RevealedSet
 from limitgames.fuzz import run_suite
-from limitgames.learners import (
-    ConservativePairGenerator,
-    CriticalGenerator,
-    EagerIdentifier,
-    NaiveIdentifier,
-    ProbeIdentifier,
-    StubbornIdentifier,
-    subset_probe,
-)
+from limitgames.learners import subset_probe
+from limitgames.scenario import Battery, load_file
 
 I, O, E, N = all_integers(), odd_positives(), even_nonnegatives(), negative_integers()
 
-
-def _generation_spec():
-    coll = LanguageCollection.explicit("gen", [I, O, E, q_set(1), y_set(0)])
-    return ScenarioSpec(
-        name="generation",
-        game=GameKind.SG,
-        adversary_factory=lambda: PositiveStream(O),
-        learner_factory=lambda: CriticalGenerator(coll),
-        horizon=300,
-        window=50,
-        true_coll=coll,
-    )
-
-
-def _sg_inf_spec():
-    ct = LanguageCollection.explicit("sgk", [I, O, q_set(1)])
-    ch = LanguageCollection.explicit("sgh", [E, y_set(0)])
-    return ScenarioSpec(
-        name="sg-inf",
-        game=GameKind.SG_INF,
-        adversary_factory=lambda: FairInterleaver(O, E),
-        learner_factory=lambda: ConservativePairGenerator(ct, ch),
-        horizon=300,
-        window=50,
-        true_coll=ct,
-        harm_coll=ch,
-    )
-
-
-def _identify_specs():
-    coll = LanguageCollection.explicit("li", [I, O])
-    probe = ScenarioSpec(
-        name="identify-probe",
-        game=GameKind.LI,
-        adversary_factory=lambda: PositiveStream(O),
-        learner_factory=lambda: ProbeIdentifier(coll),
-        horizon=300,
-        window=50,
-        true_coll=coll,
-    )
-    naive = ScenarioSpec(
-        name="identify-naive",
-        game=GameKind.LI,
-        adversary_factory=lambda: PositiveStream(O),
-        learner_factory=lambda: NaiveIdentifier(coll),
-        horizon=300,
-        window=50,
-        true_coll=coll,
-    )
-    return probe, naive
-
-
-def _phased_specs():
-    true_coll, harm_coll = identification_trap_collections()
-    eager = ScenarioSpec(
-        name="phased-eager",
-        game=GameKind.SI,
-        adversary_factory=lambda: PhasedInjectionAdversary(true_coll),
-        learner_factory=lambda: EagerIdentifier(true_coll),
-        horizon=2000,
-        window=50,
-        true_coll=true_coll,
-        harm_coll=harm_coll,
-    )
-    stubborn = ScenarioSpec(
-        name="phased-stubborn",
-        game=GameKind.SI,
-        adversary_factory=lambda: PhasedInjectionAdversary(true_coll),
-        learner_factory=lambda: StubbornIdentifier(),
-        horizon=2000,
-        window=50,
-        true_coll=true_coll,
-        harm_coll=harm_coll,
-    )
-    return eager, stubborn
-
-
-def _diagonal_spec():
-    true_coll, harm_coll = diagonal_trap_collections()
-    return ScenarioSpec(
-        name="diagonal",
-        game=GameKind.SG,
-        adversary_factory=lambda: DiagonalAdversary(true_coll, harm_coll),
-        learner_factory=lambda: CriticalGenerator(true_coll),
-        horizon=2000,
-        window=50,
-        true_coll=true_coll,
-        harm_coll=harm_coll,
-    )
-
-
-def _telltale_spec():
-    ct = LanguageCollection.explicit(
-        "ttk", [I, E], telltales={1: frozenset({1}), 2: frozenset({0})}
-    )
-    ch = LanguageCollection.explicit(
-        "tth", [N | E, I], telltales={1: frozenset({-2}), 2: frozenset({1})}
-    )
-    from limitgames.learners import TelltaleGenerator
-
-    return ScenarioSpec(
-        name="telltale-bottom",
-        game=GameKind.SG,
-        adversary_factory=lambda: FairInterleaver(E, I),
-        learner_factory=lambda: TelltaleGenerator(ct, ch),
-        horizon=200,
-        window=50,
-        true_coll=ct,
-        harm_coll=ch,
-    )
-
-
-def _conservative_fails_spec():
-    ct = LanguageCollection.explicit("cfk", [I])
-    ch = LanguageCollection.explicit("cfh", [y_set(0), I])
-    return ScenarioSpec(
-        name="conservative-fails",
-        game=GameKind.SG,
-        adversary_factory=lambda: FairInterleaver(I, y_set(0)),
-        learner_factory=lambda: ConservativePairGenerator(ct, ch),
-        horizon=200,
-        window=50,
-        true_coll=ct,
-        harm_coll=ch,
-    )
-
-
-SPEC_BUILDERS = {
-    "generation": _generation_spec,
-    "sg-inf": _sg_inf_spec,
-    "identify-probe": lambda: _identify_specs()[0],
-    "identify-naive": lambda: _identify_specs()[1],
-    "phased-eager": lambda: _phased_specs()[0],
-    "phased-stubborn": lambda: _phased_specs()[1],
-    "diagonal": _diagonal_spec,
-    "telltale-bottom": _telltale_spec,
-    "conservative-fails": _conservative_fails_spec,
-}
-
-
-@pytest.fixture(scope="module")
-def runs():
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            spec = SPEC_BUILDERS[name]()
-            start = time.monotonic()
-            result = run_game(spec)
-            cache[name] = (result, time.monotonic() - start)
-        return cache[name]
-
-    return get
+# The catalogue files the criteria play; criterion 11 re-runs each of them.
+GAMES = (
+    "generation.json",
+    "sg_inf.json",
+    "identify_probe.json",
+    "identify_naive.json",
+    "safe_id_impossible_eager.json",
+    "safe_id_impossible_stubborn.json",
+    "oracle_not_enough.json",
+    "telltale_bottom.json",
+    "conservative_fails.json",
+)
 
 
 def _replay_seen(trace):
@@ -232,8 +67,8 @@ def test_criterion_02_proof_construction_identities():
     print(f"criterion 2 PASS: difference identities exact ({elapsed:.3f}s)")
 
 
-def test_criterion_03_generation_convergence(runs):
-    result, elapsed = runs("generation")
+def test_criterion_03_generation_convergence(play):
+    _, result, elapsed = play("generation.json")
     assert elapsed < 5.0, f"run took {elapsed:.2f}s"
     assert result.verdict.converged
     for step, seen in _replay_seen(result.trace):
@@ -245,8 +80,8 @@ def test_criterion_03_generation_convergence(runs):
     )
 
 
-def test_criterion_04_infinite_difference_convergence(runs):
-    result, elapsed = runs("sg-inf")
+def test_criterion_04_infinite_difference_convergence(play):
+    _, result, elapsed = play("sg_inf.json")
     assert elapsed < 5.0
     assert result.verdict.converged
     window_start = result.trace.horizon - result.trace.window
@@ -262,9 +97,9 @@ def test_criterion_04_infinite_difference_convergence(runs):
     )
 
 
-def test_criterion_05_identification_separation(runs):
-    probe_result, probe_elapsed = runs("identify-probe")
-    naive_result, naive_elapsed = runs("identify-naive")
+def test_criterion_05_identification_separation(play):
+    _, probe_result, probe_elapsed = play("identify_probe.json")
+    _, naive_result, naive_elapsed = play("identify_naive.json")
     assert probe_elapsed + naive_elapsed < 5.0
     assert naive_result.verdict.correct_in_final_window == 0
     assert probe_result.verdict.converged
@@ -291,13 +126,12 @@ def test_criterion_06_probe_bitstrings():
     print(f"criterion 6 PASS: probe bitstrings 01, 10, 00, 11 ({elapsed:.3f}s)")
 
 
-def test_criterion_07_phased_adversary(runs):
-    eager_result, eager_elapsed = runs("phased-eager")
-    stubborn_result, stubborn_elapsed = runs("phased-stubborn")
+def test_criterion_07_phased_adversary(play):
+    _, eager_result, eager_elapsed = play("safe_id_impossible_eager.json")
+    _, stubborn_result, stubborn_elapsed = play("safe_id_impossible_stubborn.json")
     assert eager_elapsed + stubborn_elapsed < 10.0
     assert eager_result.verdict.phase_transitions >= 5
     adversary = eager_result.adversary
-    assert isinstance(adversary, PhasedInjectionAdversary)
     assert adversary.injections
     for _step, depth in adversary.injections:
         assert -depth not in y_set(depth - 1)
@@ -313,12 +147,11 @@ def test_criterion_07_phased_adversary(runs):
     )
 
 
-def test_criterion_08_diagonal_adversary(runs):
-    result, elapsed = runs("diagonal")
+def test_criterion_08_diagonal_adversary(play):
+    _, result, elapsed = play("oracle_not_enough.json")
     assert elapsed < 10.0, f"run took {elapsed:.2f}s"
     assert result.verdict.phase_transitions >= 3
     adversary = result.adversary
-    assert isinstance(adversary, DiagonalAdversary)
     for boundary in adversary.boundaries:
         assert boundary.skipped_true == 0 and boundary.skipped_harm == 0
     top_flags = score_against_pair(result.trace, *adversary.limit_pair())
@@ -334,8 +167,8 @@ def test_criterion_08_diagonal_adversary(runs):
     )
 
 
-def test_criterion_09_bottom_semantics(runs):
-    result, elapsed = runs("telltale-bottom")
+def test_criterion_09_bottom_semantics(play):
+    _, result, elapsed = play("telltale_bottom.json")
     assert elapsed < 2.0
     assert result.verdict.converged
     window_start = result.trace.horizon - result.trace.window
@@ -347,11 +180,10 @@ def test_criterion_09_bottom_semantics(runs):
     )
 
 
-def test_criterion_10_conservative_failure_exhibit(runs):
-    result, elapsed = runs("conservative-fails")
+def test_criterion_10_conservative_failure_exhibit(play):
+    _, result, elapsed = play("conservative_fails.json")
     assert elapsed < 2.0
     learner = result.learner
-    assert isinstance(learner, ConservativePairGenerator)
     true_diff = (I - y_set(0)).cardinality()
     assert true_diff.is_infinite
     stuck = [
@@ -365,21 +197,39 @@ def test_criterion_10_conservative_failure_exhibit(runs):
     )
 
 
-def test_criterion_11_determinism(runs):
-    names = sorted(SPEC_BUILDERS)
-    for name in names:
-        first, _ = runs(name)
-        again = run_game(SPEC_BUILDERS[name]())
-        assert again.trace.to_jsonl() == first.trace.to_jsonl(), name
-        assert again.verdict == first.verdict, name
-    print(f"criterion 11 PASS: {len(names)} scenarios re-ran byte-identically")
+def test_criterion_11_determinism(play):
+    for file in GAMES:
+        _, first, _ = play(file)
+        again = run_game(load_file(CATALOGUE / file))
+        assert again.trace.to_jsonl() == first.trace.to_jsonl(), file
+        assert again.verdict == first.verdict, file
+    print(f"criterion 11 PASS: {len(GAMES)} scenarios re-ran byte-identically")
 
 
-def test_traces_replay_to_stored_flags(runs):
+def test_traces_replay_to_stored_flags(play):
     # Replay safety net on top of the determinism criterion: stored traces
     # re-score to their recorded correctness flags.
-    for name in ("generation", "sg-inf", "phased-eager", "conservative-fails"):
-        result, _ = runs(name)
-        spec = SPEC_BUILDERS[name]()
+    for file in (
+        "generation.json",
+        "sg_inf.json",
+        "safe_id_impossible_eager.json",
+        "conservative_fails.json",
+    ):
+        spec, result, _ = play(file)
         flags = rescore_trace(result.trace, spec.true_coll)
-        assert flags == [s.correct for s in result.trace.steps], name
+        assert flags == [s.correct for s in result.trace.steps], file
+
+
+def test_catalogue_files_all_used():
+    used = set(GAMES)
+    for files, _check in DEMOS.values():
+        assert all((CATALOGUE / f).is_file() for f in files), files
+        used.update(files)
+    games = set()
+    for path in CATALOGUE.glob("*.json"):
+        loaded = load_file(path)
+        if isinstance(loaded, Battery):
+            used.update(p.name for p in loaded.paths)
+        else:
+            games.add(path.name)
+    assert used == games

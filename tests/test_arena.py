@@ -1,6 +1,8 @@
+from functools import partial
+
 import pytest
 
-from limitgames.adversaries import FairInterleaver, PositiveStream
+from limitgames.adversaries import FairInterleaver
 from limitgames.algebra import (
     all_integers,
     even_nonnegatives,
@@ -14,18 +16,16 @@ from limitgames.arena import (
     ScenarioError,
     ScenarioSpec,
     Trace,
+    _difference,
     rescore_trace,
     run_game,
     score_against_pair,
     score_step,
 )
+from limitgames.cli import CATALOGUE
 from limitgames.families import LabeledExample, LanguageCollection, RevealedSet
-from limitgames.learners import (
-    ConservativePairGenerator,
-    CriticalGenerator,
-    LearnerOutput,
-    NaiveIdentifier,
-)
+from limitgames.learners import ConservativePairGenerator, LearnerOutput, StubbornIdentifier
+from limitgames.scenario import load_file
 
 I, O, E, N = all_integers(), odd_positives(), even_nonnegatives(), negative_integers()
 
@@ -77,17 +77,14 @@ def test_score_identification():
     assert not score_step(GameKind.LI, LearnerOutput.index(1), O, E, revealed(), coll)
 
 
-def _gen_spec(name="gen"):
-    coll = LanguageCollection.explicit("g", [I, O, E, q_set(1), y_set(0)])
-    return ScenarioSpec(
-        name=name,
-        game=GameKind.SG,
-        adversary_factory=lambda: PositiveStream(O),
-        learner_factory=lambda: CriticalGenerator(coll),
-        horizon=120,
-        window=30,
-        true_coll=coll,
-    )
+def _catalogue_game(file, horizon, window):
+    spec = load_file(CATALOGUE / file)
+    spec.horizon, spec.window = horizon, window
+    return spec
+
+
+def _gen_spec():
+    return _catalogue_game("generation.json", 120, 30)
 
 
 def test_run_game_is_deterministic():
@@ -171,16 +168,17 @@ def test_sg_inf_promise_accepts_valid_pairing():
 
 
 def test_li_target_index():
-    coll = LanguageCollection.explicit("li", [I, O])
-    spec = ScenarioSpec(
-        name="li",
-        game=GameKind.LI,
-        adversary_factory=lambda: PositiveStream(O),
-        learner_factory=lambda: NaiveIdentifier(coll),
-        horizon=40,
-        window=10,
-        true_coll=coll,
-    )
-    result = run_game(spec)
+    result = run_game(_catalogue_game("identify_naive.json", 40, 10))
     assert result.verdict.target_index == 2
     assert result.verdict.correct_in_final_window == 0
+
+
+def test_difference_memo_holds_only_the_latest_game():
+    coll = LanguageCollection.explicit("si", [I, O, q_set(1)])
+    for pair in ((I, y_set(0)), (O, E)):
+        adversary = partial(FairInterleaver, *pair)
+        run_game(ScenarioSpec("si", GameKind.SI, adversary, StubbornIdentifier, 20, 5, coll))
+    info = _difference.cache_info()
+    assert info.currsize == 1
+    _difference(O, E)
+    assert _difference.cache_info().hits == info.hits + 1

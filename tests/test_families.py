@@ -73,7 +73,7 @@ def test_consistent_indices_shrink_monotonically():
 def test_revealed_set_bookkeeping():
     r = revealed(pos=[1, 3], neg=[0, 1])
     assert r.pos == {1, 3} and r.neg == {0, 1}
-    assert r.all == {0, 1, 3}
+    assert r.pos | r.neg == {0, 1, 3}
     assert r.step == 4
     assert r.contains(0) and not r.contains(7)
 
@@ -94,7 +94,7 @@ def test_explicit_collection_pads_with_last():
 def test_collection_rejects_finite_members():
     with pytest.raises(CollectionError):
         LanguageCollection.explicit("bad", [PeriodicSet.finite({1, 2})])
-    fam = LanguageCollection.family("lazy", lambda i: PeriodicSet.finite({i}))
+    fam = LanguageCollection("lazy", lambda i: PeriodicSet.finite({i}))
     with pytest.raises(CollectionError):
         fam.at(3)
 

@@ -1,13 +1,10 @@
 import json
-from pathlib import Path
 
 import pytest
 
 from limitgames.arena import ScenarioError, run_game
-from limitgames.cli import main
+from limitgames.cli import CATALOGUE, DEMOS, main
 from limitgames.scenario import Battery, load_file, parse_scenario
-
-SHIPPED = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 def write_json(path, obj):
@@ -15,20 +12,15 @@ def write_json(path, obj):
     return path
 
 
-def gen_scenario(name="gen-demo", horizon=120, window=30):
-    return {
-        "version": 1,
-        "name": name,
-        "game": "sg",
-        "true_collection": {
-            "kind": "explicit",
-            "sets": ["I", "O", "E", "Q(-1)", "Y(0)"],
-        },
-        "adversary": {"kind": "positive_stream", "lang": "O"},
-        "learner": {"kind": "critical"},
-        "horizon": horizon,
-        "window": window,
-    }
+def catalogue_scenario(file, **fields):
+    return {**json.loads((CATALOGUE / file).read_text()), **fields}
+
+
+def gen_scenario(**fields):
+    """The catalogue's generation game, shortened, with ``fields`` replaced."""
+    return catalogue_scenario(
+        "generation.json", **{"name": "gen-demo", "horizon": 120, "window": 30, **fields}
+    )
 
 
 def test_parse_scenario_roundtrip(tmp_path):
@@ -71,45 +63,16 @@ def test_unknown_kinds_rejected():
         parse_scenario(bad)
 
 
-def test_telltale_collection_config():
-    obj = {
-        "version": 1,
-        "name": "telltale",
-        "game": "sg",
-        "true_collection": {
-            "kind": "explicit",
-            "sets": ["I", "E"],
-            "telltales": {"1": [1], "2": [0]},
-        },
-        "harm_collection": {
-            "kind": "explicit",
-            "sets": ["N | E", "I"],
-            "telltales": {"1": [-2], "2": [1]},
-        },
-        "adversary": {"kind": "fair_interleaver", "true": "E", "harm": "I"},
-        "learner": {"kind": "telltale"},
-        "horizon": 200,
-        "window": 50,
-    }
-    spec = parse_scenario(obj)
-    result = run_game(spec)
+def test_telltale_collection_config(play):
+    spec, result, _ = play("telltale_bottom.json")
+    assert spec.true_coll.telltales == {1: frozenset({1}), 2: frozenset({0})}
+    assert spec.harm_coll.telltales == {1: frozenset({-2}), 2: frozenset({1})}
     assert result.verdict.converged
 
 
 def test_builtin_collection_kinds():
-    obj = {
-        "version": 1,
-        "name": "phased",
-        "game": "si",
-        "true_collection": {"kind": "identification_trap_true"},
-        "harm_collection": {"kind": "identification_trap_harm"},
-        "adversary": {"kind": "phased_injection"},
-        "learner": {"kind": "eager_identifier"},
-        "horizon": 40,
-        "window": 10,
-    }
-    spec = parse_scenario(obj)
-    result = run_game(spec)
+    obj = catalogue_scenario("safe_id_impossible_eager.json", horizon=40, window=10)
+    result = run_game(parse_scenario(obj))
     assert result.verdict.phase_transitions >= 5
 
 
@@ -159,8 +122,8 @@ def test_cli_rejects_malformed_scenario(tmp_path, capsys):
 
 
 def test_cli_battery(tmp_path, capsys):
-    a = write_json(tmp_path / "a.json", gen_scenario("run-a"))
-    b = write_json(tmp_path / "b.json", gen_scenario("run-b", horizon=80, window=20))
+    a = write_json(tmp_path / "a.json", gen_scenario(name="run-a"))
+    b = write_json(tmp_path / "b.json", gen_scenario(name="run-b", horizon=80, window=20))
     battery = write_json(
         tmp_path / "both.json",
         {"version": 1, "name": "both", "battery": ["a.json", "b.json"]},
@@ -214,23 +177,42 @@ def test_load_battery_type(tmp_path):
     assert isinstance(loaded, Battery)
 
 
-def test_shipped_scenarios_run():
-    paths = sorted(SHIPPED.glob("*.json"))
+def test_shipped_scenarios_run(play):
+    paths = sorted(CATALOGUE.glob("*.json"))
     assert paths, "no shipped scenario files found"
     expected_converged = {
-        "generation": True,
-        "sg-inf": True,
-        "telltale-bottom": True,
-        "identify-probe": True,
-        "identify-naive": False,
+        "generation.json": True,
+        "sg_inf.json": True,
+        "telltale_bottom.json": True,
+        "identify_probe.json": True,
+        "identify_naive.json": False,
+        "reduction_probe.json": True,
+        "reduction_naive.json": False,
+        "safe_id_impossible_eager.json": False,
+        "safe_id_impossible_stubborn.json": False,
+        "oracle_not_enough.json": False,
+        "conservative_fails.json": False,
     }
     for path in paths:
         loaded = load_file(path)
         if isinstance(loaded, Battery):
             assert all(p.exists() for p in loaded.paths)
             continue
-        result = run_game(loaded)
-        assert result.verdict.converged == expected_converged[loaded.name], loaded.name
+        _, result, _ = play(path.name)
+        assert result.verdict.converged == expected_converged[path.name], path.name
+
+
+@pytest.mark.parametrize("demo", ["sg-inf", "reduction", "conservative-fails"])
+def test_demo_writes_what_run_writes(tmp_path, capsys, demo):
+    files, _check = DEMOS[demo]
+    assert main(["demo", demo, "--out", str(tmp_path / "demo")]) == 0
+    for file in files:
+        assert main(["run", str(CATALOGUE / file), "--out", str(tmp_path / "run")]) == 0
+    written = sorted(p.name for p in (tmp_path / "demo").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert len(written) == 2 * len(files)
+    for name in written:
+        assert (tmp_path / "demo" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
 def _run_bad(tmp_path, capsys, scenario):
@@ -261,14 +243,37 @@ def test_cli_non_integer_telltale_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "collection,field",
+    "scenario,field",
     [
-        ({"kind": "explicit", "sets": "I"}, "true_collection.sets"),
-        ({"kind": "explicit", "sets": ["I"], "telltales": [1]}, "true_collection.telltales"),
-        ({"kind": "explicit", "sets": ["I"], "telltales": {"1": 5}}, "true_collection.telltales"),
+        (gen_scenario(true_collection={"kind": "explicit", "sets": "I"}), "true_collection.sets"),
+        (
+            gen_scenario(true_collection={"kind": "explicit", "sets": ["I"], "telltales": [1]}),
+            "true_collection.telltales",
+        ),
+        (
+            gen_scenario(true_collection={"kind": "explicit", "sets": ["I"], "telltales": {"1": 5}}),
+            "true_collection.telltales",
+        ),
+        (gen_scenario(true_collection=["I", "O"]), "true_collection"),
+        (gen_scenario(adversary="positive_stream"), "adversary"),
+        (gen_scenario(adversary={"kind": "positive_stream", "lang": 5}), "adversary.lang"),
+        (
+            gen_scenario(adversary={"kind": "fair_interleaver", "true": True, "harm": "E"}),
+            "adversary.true",
+        ),
+        (
+            gen_scenario(adversary={"kind": "fair_interleaver", "true": "O", "harm": 0}),
+            "adversary.harm",
+        ),
+        (
+            gen_scenario(learner={"kind": "reference", "true": "O", "harm": ["E"]}),
+            "learner.harm",
+        ),
+        (gen_scenario(name=7), "name"),
+        (gen_scenario(name="../escaped"), "name"),
+        ({"version": 1, "battery": [3]}, "battery"),
+        ({"version": 1, "battery": "ab"}, "battery"),
     ],
 )
-def test_cli_malformed_collection_shapes_exit_2(tmp_path, capsys, collection, field):
-    bad = gen_scenario()
-    bad["true_collection"] = collection
-    assert f"error: {field}" in _run_bad(tmp_path, capsys, bad)
+def test_cli_malformed_fields_exit_2(tmp_path, capsys, scenario, field):
+    assert f"error: {field}" in _run_bad(tmp_path, capsys, scenario)
