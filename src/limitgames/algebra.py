@@ -9,9 +9,14 @@ cardinality class, subset) is answered exactly with bounded arithmetic.
 Cost model: canonicalization, ``|``, ``&``, ``-`` and ``complement`` do
 residue arithmetic on the tails and visit only the listed window members,
 so each costs O(listed members of the operands and the result + lcm of the
-tail periods), however far apart the window bounds lie.  Universe-order
-scans (``prefix``, ``iter_universe_order``, ``first_not_in``) still test
-one rank at a time.
+tail periods), however far apart the window bounds lie.  Rank masks
+(``rank_mask_block``) are built by residue arithmetic too: each residue
+class of a tail is one bit progression, and each half of the window (split
+at zero) is the progression of a rule chosen once per set XOR the points it
+lists against that rule inside the requested range, so a mask takes
+O(residues + listed points in range) Python steps plus big-integer work
+linear in its width.  Universe-order scans (``prefix``,
+``iter_universe_order``, ``first_not_in``) still test one rank at a time.
 
 The universe is enumerated in zigzag order 0, 1, -1, 2, -2, ...;
 ``universe_elem`` and ``universe_index`` convert between 1-based ranks and
@@ -23,8 +28,9 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
-from math import lcm
+from functools import cache, cached_property
+from itertools import chain
+from math import inf, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -241,28 +247,52 @@ class PeriodicSet:
 
         Bit ``i`` is set when universe_elem(start_rank + i) is a member.
         """
-        lo, hi, win = self.lo, self.hi, self.window
-        np_, nr = self.neg_period, self.neg_residues
-        pp, pr = self.pos_period, self.pos_residues
+        if count <= 0:
+            return 0
+        end = start_rank + count - 1
         bits = 0
-        r = start_rank
-        for i in range(count):
-            if r == 1:
-                x = 0
-            elif r % 2 == 0:
-                x = r // 2
-            else:
-                x = -(r // 2)
-            if x < lo:
-                ok = x % np_ in nr
-            elif x > hi:
-                ok = x % pp in pr
-            else:
-                ok = x in win
-            if ok:
-                bits |= 1 << i
-            r += 1
+        # Positive x sits at rank 2x and x <= 0 at rank 1 - 2x, so each side
+        # of zero is an integer interval whose members lie on one bit stride.
+        for a, b, positive in (
+            ((start_rank + 1) // 2, end // 2, True),
+            (-((end - 1) // 2), -(start_rank // 2), False),
+        ):
+            if positive:
+                a = max(a, 1)
+            for first, last, rule, exceptions in self._pieces:
+                lo, hi = max(a, first), min(b, last)
+                if lo > hi:
+                    continue
+                bits |= _rule_bits(rule, lo, hi, positive, start_rank)
+                for x in exceptions[bisect_left(exceptions, lo) : bisect_right(exceptions, hi)]:
+                    bits ^= 1 << ((2 * x if positive else 1 - 2 * x) - start_rank)
         return bits
+
+    @cached_property
+    def _pieces(self) -> list[tuple[float, float, Rule, list[int]]]:
+        """The line as consecutive intervals, each a rule plus the sorted
+        points where membership differs from it: the two tails, and the
+        window split at zero (each half described by the cheapest rule)."""
+        lo, hi, window = self.lo, self.hi, self.window
+        neg_half = pos_half = window
+        if lo <= 0 < hi:
+            # Split the window at zero, enumerating its narrower side.
+            if 1 - lo <= hi:
+                neg_half = _members_in(window, lo, 0)
+                pos_half = window - neg_half
+            else:
+                pos_half = _members_in(window, 1, hi)
+                neg_half = window - pos_half
+        pieces = [(-inf, lo - 1, (self.neg_period, self.neg_residues), [])]
+        if lo <= 0:
+            end = min(hi, 0)
+            pieces.append((lo, end, *_describe(neg_half, lo, end, pieces[0][2])))
+        if hi >= 1:
+            start = max(lo, 1)
+            tail = (self.pos_period, self.pos_residues)
+            pieces.append((start, hi, *_describe(pos_half, start, hi, tail)))
+        pieces.append((hi + 1, inf, (self.pos_period, self.pos_residues), []))
+        return pieces
 
     def span(self) -> int:
         """Crude size measure used for escalation bounds: window plus periods."""
@@ -377,12 +407,9 @@ def _first_diff(
 
 
 def _rule_members(rule: Rule, lo: int, hi: int) -> Iterable[int]:
-    """Members of ``rule`` in [lo, hi]."""
+    """Members of ``rule`` in [lo, hi], one range per residue."""
     period, residues = rule
-    if len(residues) == period:
-        return range(lo, hi + 1)
-    offsets = sorted((r - lo) % period for r in residues)
-    return [x for base in range(lo, hi + 1, period) for d in offsets if (x := base + d) <= hi]
+    return chain.from_iterable(range(lo + (r - lo) % period, hi + 1, period) for r in residues)
 
 
 def _members_at(s: PeriodicSet, points: list[int]) -> frozenset[int]:
@@ -498,6 +525,60 @@ def _combine(
             rules.append((period, op(_lift(ra, pa, period), _lift(rb, pb, period))))
     points = sorted(a.window | b.window)
     return _settle(cuts, rules, points, op(_members_at(a, points), _members_at(b, points)))
+
+
+# ----------------------------------------------------------------------
+# Rank masks
+# ----------------------------------------------------------------------
+#
+# In rank order the positive integers and the integers <= 0 interleave, so
+# on each side of zero a residue class of a rule is one progression of bits.
+# A mask is built from such progressions, one per residue of each piece of
+# the line, plus the few points each window half lists against its rule.
+
+
+def _members_in(members: frozenset[int], a: int, b: int) -> frozenset[int]:
+    if b - a < len(members):
+        return members.intersection(range(a, b + 1))
+    return frozenset(x for x in members if a <= x <= b)
+
+
+def _describe(members: frozenset[int], a: int, b: int, tail: Rule) -> tuple[Rule, list[int]]:
+    """The rule among absent, present and ``tail`` that differs from
+    ``members`` at the fewest points of [a, b], with those points sorted.
+    Work is proportional to ``members``: a rule whose members in [a, b]
+    outnumber them twice over cannot win and is never enumerated."""
+    best: tuple[Rule, frozenset[int] | set[int]] = ((1, _NONE), members)
+    width = b - a + 1
+    if width < 2 * len(members):
+        best = ((1, _ALL), set(range(a, b + 1)).difference(members))
+    period, residues = tail
+    if best[1] and residues and (width // period) * len(residues) <= 2 * len(members):
+        exceptions = members.symmetric_difference(_rule_members(tail, a, b))
+        if len(exceptions) < len(best[1]):
+            best = (tail, exceptions)
+    return best[0], sorted(best[1])
+
+
+def _rule_bits(rule: Rule, a: int, b: int, positive: bool, start: int) -> int:
+    """Rank bits, counted from rank ``start``, of the members of ``rule`` in
+    [a, b], an interval on one side of zero: each residue class is one
+    progression of bits 2 * period apart."""
+    period, residues = rule
+    step = 2 * period
+    bits = 0
+    for r in residues:
+        if positive:
+            x = a + (r - a) % period
+            n = (b - x) // period + 1
+            shift = 2 * x - start
+        else:
+            x = b - (b - r) % period
+            n = (x - a) // period + 1
+            shift = 1 - 2 * x - start
+        if n > 0:
+            bits |= ((1 << step * n) - 1) // ((1 << step) - 1) << shift
+    return bits
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each iteration draws random eventually periodic sets (periods up to 12,
 windows inside [-64, 64]) and verifies the Boolean operations against a
 pointwise brute-force oracle over a window stretching three full combined
 periods past the explicit region, plus canonical-form and cardinality
-invariants.  Deterministic for a fixed seed.
+invariants and rank masks tested rank by rank.  Deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from .algebra import PeriodicSet
+from .algebra import PeriodicSet, universe_elem
 
 MAX_PERIOD = 12
 WINDOW_LIMIT = 64
@@ -48,6 +49,23 @@ def check_canonical(s: PeriodicSet) -> str | None:
     return None
 
 
+def check_mask(s: PeriodicSet) -> str | None:
+    """Rank masks over the window and a full period of each tail, and over
+    a block inside that range, must match membership tested one rank at a
+    time."""
+    width = 2 * (max(-s.lo, s.hi) + max(s.neg_period, s.pos_period)) + 2
+    full = sum(1 << i for i in range(width) if universe_elem(i + 1) in s)
+    inner, size = width // 3 + 1, width // 2
+    for start, count, expected in (
+        (1, width, full),
+        (inner, size, full >> (inner - 1) & ((1 << size) - 1)),
+        (width, 0, 0),
+    ):
+        if s.rank_mask_block(start, count) != expected:
+            return f"rank mask of {s!r} over ranks [{start}, {start + count}) is wrong"
+    return None
+
+
 def _oracle_window(*sets: PeriodicSet) -> tuple[int, int]:
     period = 1
     for s in sets:
@@ -76,6 +94,11 @@ def check_pair(a: PeriodicSet, b: PeriodicSet, c: PeriodicSet) -> str | None:
         failure = check_canonical(result)
         if failure:
             return f"{name} result {failure}"
+
+    for s in (a, a - b):
+        failure = check_mask(s)
+        if failure:
+            return failure
 
     # Cardinality classification against brute force.
     for s in (a, b, a - b):

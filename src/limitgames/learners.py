@@ -6,20 +6,36 @@ Two families of learners live here:
   ``identify_with_probes``, ...) that recompute everything from the revealed
   sample each step, written in the most direct form; and
 * stateful classes (``CriticalGenerator``, ``ConservativePairGenerator``)
-  that maintain consistency flags and rank-prefix bitmasks incrementally so
-  the 2000-step adversarial scenarios stay fast.  The classes produce the
-  same outputs as the functions; a test pins that equivalence.
+  that keep consistency and rank masks incrementally and escalate the
+  cutoff over drop points, so the 2000-step adversarial scenarios stay
+  fast.  The classes produce the same outputs as the functions; tests pin
+  that equivalence.
 
 Generation learners pick candidates by finite-prefix evidence: a candidate
 is *critical* at cutoff m when its m-prefix is contained in the m-prefix of
 every earlier consistent candidate (the "smallest" consistent guess), and
 *dually critical* when its m-prefix contains all earlier consistent
 prefixes (the "largest" guess, used for harm hypotheses).
+
+Both properties are monotone in the cutoff.  Candidate i is critical at
+cutoff m exactly when m < drop(i), where drop(i) is the rank of the first
+member of i missing from some earlier consistent candidate (dually: the
+first member of some earlier candidate that i lacks).  The stateful classes
+keep the rank mask of every consistent candidate at one shared length and
+compute every drop point in one forward pass over the masks: the running
+AND (dually OR) of the earlier masks against each candidate's own.  The
+choice at cutoff m is the highest candidate whose drop point exceeds m; as
+m grows it only moves down, and only at drop points.  So the escalation is
+a walk down from the top candidate: emit its lowest unseen rank when that
+comes before its drop point, else jump the cutoff to the drop point, and
+lengthen the masks (doubling, up to the escalation bound) when neither lies
+within them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Protocol
 
 from .algebra import Cardinality, PeriodicSet, universe_elem, universe_index
@@ -94,7 +110,8 @@ def reference_safe_generate(
     diff = true_hyp - harm_hyp
     if diff.cardinality().is_infinite:
         word = diff.first_not_in(revealed.contains)
-        assert word is not None
+        if word is None:
+            raise RuntimeError("an infinite difference has no unseen member")
         return LearnerOutput.generate(word)
     return LearnerOutput.bottom() if strict else LearnerOutput.generate(universe_elem(1))
 
@@ -169,14 +186,9 @@ def critical_generate(
     m = max((universe_index(x) for x in seen), default=1)
     bound = _escalation_bound(m, t, [coll.at(i).span() for i in consistent])
     while m <= bound:
-        best = None
-        inter: set[int] | None = None
-        for i in consistent:
-            pm = set(coll.at(i).prefix(m))
-            if inter is None or pm <= inter:
-                best = i
-            inter = pm if inter is None else inter & pm
-        assert best is not None
+        best = _primal_best_sets(coll, consistent, m)
+        if best is None:
+            raise RuntimeError("no critical candidate among the consistent ones")
         lang = coll.at(best)
         for rank in range(1, m + 1):
             x = universe_elem(rank)
@@ -228,7 +240,8 @@ def conservative_pair_generate(
             if x in k_lang and (h_lang is None or x not in h_lang) and x not in seen:
                 return LearnerOutput.generate(x)
         m += 1
-    assert kc is not None
+    if kc is None:
+        raise RuntimeError("the cutoff escalation chose no true candidate")
     diff = coll_true.at(kc) - (
         coll_harm.at(hc) if hc is not None else PeriodicSet.empty()
     )
@@ -390,7 +403,8 @@ def telltale_safe_generate(
         diff = coll_true.at(k_hat) - coll_harm.at(h_hat)
         if diff.cardinality().is_infinite:
             word = diff.first_not_in(revealed.contains)
-            assert word is not None
+            if word is None:
+                raise RuntimeError("an infinite difference has no unseen member")
             return LearnerOutput.generate(word)
         return (
             LearnerOutput.bottom() if strict else LearnerOutput.generate(universe_elem(1))
@@ -410,13 +424,15 @@ def telltale_safe_generate(
     m = max((universe_index(x) for x in seen), default=1)
     kc = _primal_best_sets(coll_true, cons_k, m)
     hc = _dual_best_sets(coll_harm, cons_h, m)
-    assert kc is not None
+    if kc is None:
+        raise RuntimeError("no critical candidate among the consistent ones")
     k_lang = coll_true.at(kc)
     diff = k_lang - (coll_harm.at(hc) if hc is not None else PeriodicSet.empty())
     word = diff.first_not_in(seen)
     if word is None:
         word = k_lang.first_not_in(seen)
-        assert word is not None
+        if word is None:
+            raise RuntimeError("an infinite candidate has no unseen member")
     return LearnerOutput.generate(word)
 
 
@@ -437,157 +453,149 @@ def _identify_by_telltale(
 
 
 # ----------------------------------------------------------------------
-# Incremental machinery shared by the stateful generators
+# Drop-point escalation shared by the stateful generators
 # ----------------------------------------------------------------------
 
 
-class _MaskedLang:
-    """A language plus its lazily grown rank-prefix bitmask."""
-
-    __slots__ = ("lang", "bits", "upto")
-
-    def __init__(self, lang: PeriodicSet):
-        self.lang = lang
-        self.bits = 0
-        self.upto = 0
-
-    def mask(self, m: int) -> int:
-        if self.upto < m:
-            self.bits |= self.lang.rank_mask_block(self.upto + 1, m - self.upto) << self.upto
-            self.upto = m
-            return self.bits
-        if self.upto == m:
-            return self.bits
-        return self.bits & ((1 << m) - 1)
-
-
 class _SideTracker:
-    """Alive (consistent) candidates of one collection side, with masks."""
+    """Live (consistent) candidates of one collection side, in index order,
+    with their rank masks at the shared length ``length``.
 
-    def __init__(self, coll: LanguageCollection):
+    ``label`` is the side's example label: 1 for the true side, whose choice
+    is the critical candidate, and 0 for the harm side, whose choice is the
+    dually critical one.  ``sample`` holds the ranks of the side's revealed
+    elements, so a new candidate is admitted with one mask test.
+    """
+
+    def __init__(self, coll: LanguageCollection, label: int):
         self.coll = coll
+        self.label = label
         self.alive: list[int] = []
-        self.masked: dict[int, _MaskedLang] = {}
+        self.langs: list[PeriodicSet] = []
+        self.masks: list[int] = []
+        self.sample = 0
         self.admitted = 0
         self.max_span = 1
+        self.length = 0
 
     def kill(self, new_values: list[int]) -> None:
-        if not new_values:
-            return
-        self.alive = [
-            i
-            for i in self.alive
-            if all(v in self.masked[i].lang for v in new_values)
-        ]
+        for v in new_values:
+            keep = [k for k, lang in enumerate(self.langs) if v in lang]
+            if len(keep) < len(self.langs):
+                self.alive = [self.alive[k] for k in keep]
+                self.langs = [self.langs[k] for k in keep]
+                self.masks = [self.masks[k] for k in keep]
 
-    def admit(self, upto: int, sample: set[int]) -> None:
+    def grow(self, length: int) -> None:
+        if length > self.length:
+            old, width = self.length, length - self.length
+            self.masks = [
+                mk | lang.rank_mask_block(old + 1, width) << old
+                for mk, lang in zip(self.masks, self.langs)
+            ]
+            self.length = length
+
+    def admit(self, upto: int) -> None:
+        # The masks must already cover every sampled rank.
         while self.admitted < upto:
             self.admitted += 1
             lang = self.coll.at(self.admitted)
             self.max_span = max(self.max_span, lang.span())
-            if all(v in lang for v in sample):
+            mask = lang.rank_mask_block(1, self.length)
+            if self.sample & ~mask == 0:
                 self.alive.append(self.admitted)
-                self.masked[self.admitted] = _MaskedLang(lang)
+                self.langs.append(lang)
+                self.masks.append(mask)
 
-    def mask(self, i: int, m: int) -> int:
-        return self.masked[i].mask(m)
+    def drops(self) -> list[float]:
+        """The drop point of every live candidate, in one pass: the least
+        cutoff at which it stops being this side's choice (inf when that
+        lies beyond the masks).
 
-    def primal_best(self, m: int) -> int | None:
-        # Hot path: the mask access is inlined and the clamp mask hoisted,
-        # since this pass runs per cutoff value over every alive candidate.
-        best = None
-        inter: int | None = None
-        ones = (1 << m) - 1
-        masked = self.masked
-        for i in self.alive:
-            ml = masked[i]
-            upto = ml.upto
-            if upto < m:
-                ml.bits |= ml.lang.rank_mask_block(upto + 1, m - upto) << upto
-                ml.upto = m
-                mk = ml.bits
-            elif upto == m:
-                mk = ml.bits
-            else:
-                mk = ml.bits & ones
-            if inter is None:
-                best = i
-                inter = mk
-            else:
-                if mk & ~inter == 0:
-                    best = i
-                inter &= mk
-        return best
-
-    def dual_best(self, m: int) -> int | None:
-        best = None
-        union = 0
-        ones = (1 << m) - 1
-        masked = self.masked
-        for i in self.alive:
-            ml = masked[i]
-            upto = ml.upto
-            if upto < m:
-                ml.bits |= ml.lang.rank_mask_block(upto + 1, m - upto) << upto
-                ml.upto = m
-                mk = ml.bits
-            elif upto == m:
-                mk = ml.bits
-            else:
-                mk = ml.bits & ones
-            if union & ~mk == 0:
-                best = i
-            union |= mk
-        return best
-
-    def drop_point(self, i: int, m: int) -> int | None:
-        """Smallest cutoff at which candidate i stops being critical.
-
-        A candidate fails criticality at the rank of the first member it has
-        that some earlier alive candidate lacks; masks are read at cutoff m,
-        which must already be past that witness for the answer to be exact.
+        True side: the first rank in its mask missing from some earlier
+        mask.  Harm side: the first rank in some earlier mask missing from
+        its own.  The first candidate never drops.
         """
-        ones = (1 << m) - 1
-        ml = self.masked[i]
-        mk = ml.mask(m)
-        best: int | None = None
-        for j in self.alive:
-            if j >= i:
-                break
-            diff = (self.masked[j].mask(m) ^ ones) & mk
-            if diff:
-                w = (diff & -diff).bit_length()
-                if best is None or w < best:
-                    best = w
-        return best
+        out: list[float] = []
+        if self.label:
+            acc = -1
+            for mk in self.masks:
+                acc &= mk
+                d = mk ^ acc
+                out.append((d & -d).bit_length() if d else inf)
+        else:
+            acc = 0
+            for mk in self.masks:
+                acc |= mk
+                d = acc ^ mk
+                out.append((d & -d).bit_length() if d else inf)
+        return out
 
-    def drop_point_dual(self, i: int, m: int) -> int | None:
-        """Dual variant: first rank some earlier candidate covers but i lacks."""
-        ones = (1 << m) - 1
-        missing = self.masked[i].mask(m) ^ ones
-        acc = 0
-        for j in self.alive:
-            if j >= i:
-                break
-            acc |= self.masked[j].mask(m)
-        diff = acc & missing
-        if diff:
-            return (diff & -diff).bit_length()
-        return None
 
-    def next_rank_in(self, i: int, above: int, bound: int, excluded: int) -> int | None:
-        """Smallest member rank of candidate i above ``above``, skipping ranks
-        set in ``excluded``; None when nothing shows up within the bound."""
-        ml = self.masked[i]
-        low_clear = ~((1 << above) - 1)
-        cur = above
-        while cur < bound:
-            nxt = min(cur + 512, bound)
-            bits = ml.mask(nxt) & ~excluded & low_clear
-            if bits:
-                return (bits & -bits).bit_length()
-            cur = nxt
-        return None
+class _DropWalker:
+    """The state both stateful generators share: the seen ranks, one side
+    tracker per collection, and the escalation walk over drop points."""
+
+    def __init__(self, *sides: _SideTracker):
+        self._sides = sides
+        self._consumed = 0
+        self._seen = 0
+        self._max_rank = 1
+
+    def _observe(self, revealed: RevealedSet, t: int) -> None:
+        """Take in the new events: kill, grow the masks, admit."""
+        new: tuple[list[int], list[int]] = ([], [])
+        samples = [0, 0]
+        for ex in revealed.events[self._consumed :]:
+            rank = universe_index(ex.element)
+            self._seen |= 1 << (rank - 1)
+            samples[ex.label] |= 1 << (rank - 1)
+            if rank > self._max_rank:
+                self._max_rank = rank
+            new[ex.label].append(ex.element)
+        self._consumed = len(revealed.events)
+        length = self._sides[0].length
+        if self._max_rank > length:
+            length = max(self._max_rank, 2 * length, 64)
+        for side in self._sides:
+            side.kill(new[side.label])
+            side.sample |= samples[side.label]
+            side.grow(length)
+            side.admit(side.coll.candidate_count(t))
+
+    def _walk(self, m: int, bound: int) -> tuple[int | None, int, int | None]:
+        """Escalate the cutoff from ``m`` over drop points, as the module
+        docstring describes.  Returns the rank to emit (None when the walk
+        passes ``bound`` first) with the true and harm positions chosen at
+        that cutoff (harm None when no harm candidate is alive).  The true
+        side must have a live candidate.
+        """
+        true, harm = self._sides[0], self._sides[1] if len(self._sides) > 1 else None
+        drops = [side.drops() for side in self._sides]
+        ki = len(true.alive) - 1
+        hi = len(harm.alive) - 1 if harm is not None else -1
+        while True:
+            while drops[0][ki] <= m:
+                ki -= 1
+            avail = true.masks[ki] & ~self._seen
+            drop = drops[0][ki]
+            if hi >= 0:
+                while drops[1][hi] <= m:
+                    hi -= 1
+                avail &= ~harm.masks[hi]
+                drop = min(drop, drops[1][hi])
+            rank = (avail & -avail).bit_length() if avail else inf
+            first = min(rank, drop)
+            if first == inf and true.length < bound:
+                length = min(2 * true.length, bound)
+                for side in self._sides:
+                    side.grow(length)
+                drops = [side.drops() for side in self._sides]
+                continue
+            if first > bound or rank < drop:
+                emit = rank if first <= bound else None
+                return emit, ki, (hi if hi >= 0 else None)
+            m = drop
 
 
 @dataclass(frozen=True)
@@ -601,63 +609,31 @@ class ChoiceRecord:
     output_kind: str
 
 
-class CriticalGenerator:
+class CriticalGenerator(_DropWalker):
     """Stateful generation learner over one collection (true side only).
 
-    Keeps consistency flags and prefix bitmasks incrementally; outputs match
+    Keeps consistency and prefix bitmasks incrementally; outputs match
     :func:`critical_generate` step for step.  Strings carrying either label
     count as seen and are never emitted.
     """
 
     def __init__(self, coll: LanguageCollection):
+        super().__init__(_SideTracker(coll, 1))
         self.coll = coll
-        self._tracker = _SideTracker(coll)
-        self._consumed = 0
-        self._seen_mask = 0
-        self._max_rank = 1
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
-        new_pos: list[int] = []
-        for ex in revealed.events[self._consumed :]:
-            rank = universe_index(ex.element)
-            self._seen_mask |= 1 << (rank - 1)
-            if rank > self._max_rank:
-                self._max_rank = rank
-            if ex.label == 1:
-                new_pos.append(ex.element)
-        self._consumed = len(revealed.events)
-        self._tracker.kill(new_pos)
-        self._tracker.admit(self.coll.candidate_count(t), revealed.pos)
-        if not self._tracker.alive:
+        self._observe(revealed, t)
+        side = self._sides[0]
+        if not side.alive:
             return LearnerOutput.generate(universe_elem(1))
-        m = self._max_rank
-        bound = _escalation_bound(m, t, [self._tracker.max_span])
-        while m <= bound:
-            kc = self._tracker.primal_best(m)
-            assert kc is not None
-            avail = self._tracker.mask(kc, m) & ~self._seen_mask
-            if avail:
-                rank = (avail & -avail).bit_length()
-                return LearnerOutput.generate(universe_elem(rank))
-            nxt = self._tracker.next_rank_in(kc, m, bound, self._seen_mask)
-            if nxt is None:
-                if self._tracker.primal_best(bound) == kc:
-                    break
-                m += 1
-                continue
-            if self._tracker.primal_best(nxt) == kc:
-                # Nothing changes before the element's rank, so the walk
-                # from m to nxt is silent; take the element there.
-                m = nxt
-                continue
-            # The candidate stops being critical before its next element
-            # shows up; jump straight to the cutoff where it drops.
-            drop = self._tracker.drop_point(kc, nxt)
-            m = drop if drop is not None and drop > m else m + 1
-        raise RuntimeError("prefix cutoff escalation exceeded its bound")
+        bound = _escalation_bound(self._max_rank, t, [side.max_span])
+        rank, _, _ = self._walk(self._max_rank, bound)
+        if rank is None:
+            raise RuntimeError("prefix cutoff escalation exceeded its bound")
+        return LearnerOutput.generate(universe_elem(rank))
 
 
-class ConservativePairGenerator:
+class ConservativePairGenerator(_DropWalker):
     """Stateful smallest-true/largest-harm generator over two collections.
 
     Without the infinite-difference promise the chosen pair can have an
@@ -673,14 +649,10 @@ class ConservativePairGenerator:
         *,
         strict: bool = True,
     ):
+        super().__init__(_SideTracker(coll_true, 1), _SideTracker(coll_harm, 0))
         self.coll_true = coll_true
         self.coll_harm = coll_harm
         self.strict = strict
-        self._true = _SideTracker(coll_true)
-        self._harm = _SideTracker(coll_harm)
-        self._consumed = 0
-        self._seen_mask = 0
-        self._max_rank = 1
         self._diff_cache: dict[tuple[int, int | None], Cardinality] = {}
         self.choice_log: list[ChoiceRecord] = []
 
@@ -694,61 +666,19 @@ class ConservativePairGenerator:
         return card
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
-        new_pos: list[int] = []
-        new_neg: list[int] = []
-        for ex in revealed.events[self._consumed :]:
-            rank = universe_index(ex.element)
-            self._seen_mask |= 1 << (rank - 1)
-            if rank > self._max_rank:
-                self._max_rank = rank
-            (new_pos if ex.label == 1 else new_neg).append(ex.element)
-        self._consumed = len(revealed.events)
-        self._true.kill(new_pos)
-        self._harm.kill(new_neg)
-        self._true.admit(self.coll_true.candidate_count(t), revealed.pos)
-        self._harm.admit(self.coll_harm.candidate_count(t), revealed.neg)
-        if not self._true.alive:
+        self._observe(revealed, t)
+        true, harm = self._sides
+        if not true.alive:
             self.choice_log.append(ChoiceRecord(t, None, None, None, "generate"))
             return LearnerOutput.generate(universe_elem(1))
-        m = self._max_rank
-        span = max(self._true.max_span, self._harm.max_span)
-        bound = _escalation_bound(m, t, [span])
-        while m <= bound:
-            kc = self._true.primal_best(m)
-            hc = self._harm.dual_best(m)
-            assert kc is not None
-            h_mask = self._harm.mask(hc, m) if hc is not None else 0
-            avail = self._true.mask(kc, m) & ~h_mask & ~self._seen_mask
-            if avail:
-                rank = (avail & -avail).bit_length()
-                self.choice_log.append(ChoiceRecord(t, kc, hc, None, "generate"))
-                return LearnerOutput.generate(universe_elem(rank))
-            nxt = self._next_pair_rank(kc, hc, m, bound)
-            if nxt is None:
-                if (
-                    self._true.primal_best(bound) == kc
-                    and self._harm.dual_best(bound) == hc
-                ):
-                    break
-                m += 1
-                continue
-            if self._true.primal_best(nxt) == kc and self._harm.dual_best(nxt) == hc:
-                m = nxt
-                continue
-            # Jump to whichever hypothesis drops first before the element.
-            drops = [
-                d
-                for d in (
-                    self._true.drop_point(kc, nxt),
-                    self._harm.drop_point_dual(hc, nxt) if hc is not None else None,
-                )
-                if d is not None
-            ]
-            drop = min(drops) if drops else None
-            m = drop if drop is not None and drop > m else m + 1
-        kc = self._true.primal_best(bound)
-        hc = self._harm.dual_best(bound)
-        assert kc is not None
+        span = max(true.max_span, harm.max_span)
+        bound = _escalation_bound(self._max_rank, t, [span])
+        rank, ki, hi = self._walk(self._max_rank, bound)
+        kc = true.alive[ki]
+        hc = harm.alive[hi] if hi is not None else None
+        if rank is not None:
+            self.choice_log.append(ChoiceRecord(t, kc, hc, None, "generate"))
+            return LearnerOutput.generate(universe_elem(rank))
         card = self._diff_cardinality(kc, hc)
         if card.is_infinite:
             raise RuntimeError("escalation bound hit while the difference is infinite")
@@ -756,19 +686,6 @@ class ConservativePairGenerator:
         return (
             LearnerOutput.bottom() if self.strict else LearnerOutput.generate(universe_elem(1))
         )
-
-    def _next_pair_rank(self, kc: int, hc: int | None, above: int, bound: int) -> int | None:
-        low_clear = ~((1 << above) - 1)
-        cur = above
-        while cur < bound:
-            nxt = min(cur + 512, bound)
-            k_mask = self._true.mask(kc, nxt)
-            h_mask = self._harm.mask(hc, nxt) if hc is not None else 0
-            bits = k_mask & ~h_mask & ~self._seen_mask & low_clear
-            if bits:
-                return (bits & -bits).bit_length()
-            cur = nxt
-        return None
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,9 @@ class SetSpecError(ValueError):
     """Raised for malformed set expressions."""
 
 
-_TOKEN = re.compile(r"\s*(-?\d+|[A-Za-z]+|[(){},|&\\])")
+# A well-formed ``Fin`` list is one token, read by ``fin_values``: replayed
+# traces carry lists of thousands of integers.
+_TOKEN = re.compile(r"\s*(Fin\s*\{[-\d\s,]*\}|-?\d+|[A-Za-z]+|[(){},|&\\])")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -75,6 +77,17 @@ class _Parser:
             return int(tok)
         except ValueError:
             raise SetSpecError(f"expected an integer, got {tok!r}") from None
+
+    def fin_values(self, tok: str) -> list[int]:
+        """The integers of a ``Fin{...}`` token.  A bare ``Fin`` token means
+        the lexer found no well-formed list after it."""
+        _, brace, body = tok[:-1].partition("{")
+        try:
+            if brace:
+                return [int(v) for v in body.split(",")] if body.strip() else []
+        except ValueError:
+            pass
+        raise SetSpecError(f"malformed Fin list at position {self.tokens[self.i - 1][1]}")
 
     def parse(self) -> PeriodicSet:
         result = self.expr()
@@ -140,16 +153,8 @@ class _Parser:
             if step == 0:
                 raise SetSpecError("Ray step must be nonzero")
             return PeriodicSet.ray(start, step)
-        if tok == "Fin":
-            self.take("{")
-            values: list[int] = []
-            if self.peek() != "}":
-                values.append(self.take_int())
-                while self.peek() == ",":
-                    self.take()
-                    values.append(self.take_int())
-            self.take("}")
-            return PeriodicSet.finite(values)
+        if tok == "Fin" or tok.startswith("Fin") and tok.endswith("}"):
+            return PeriodicSet.finite(self.fin_values(tok))
         raise SetSpecError(f"unknown atom {tok!r}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable
 
-from limitgames.algebra import PeriodicSet
+from limitgames.algebra import PeriodicSet, universe_elem
 
 
 def minimal_rule(period: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:
@@ -123,3 +123,13 @@ def complement(s: PeriodicSet) -> PeriodicSet:
     pr = frozenset(r for r in range(s.pos_period) if r not in s.pos_residues)
     win = frozenset(x for x in range(s.lo, s.hi + 1) if x not in s.window)
     return canonicalize(s.neg_period, nr, s.lo, s.hi, win, s.pos_period, pr)
+
+
+def rank_mask_block(s: PeriodicSet, start_rank: int, count: int) -> int:
+    """Membership bits over universe ranks [start_rank, start_rank + count),
+    one rank at a time."""
+    bits = 0
+    for i in range(count):
+        if universe_elem(start_rank + i) in s:
+            bits |= 1 << i
+    return bits

@@ -13,7 +13,6 @@ from limitgames.algebra import (
     even_nonnegatives,
     negative_integers,
     odd_positives,
-    q_set,
     y_set,
 )
 from limitgames.families import (

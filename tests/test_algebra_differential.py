@@ -151,3 +151,31 @@ def test_scaling_difference():
     result = q_set(10**9) - negative_integers()
     assert fields(result) == (1, frozenset(), 0, 0, frozenset(), 2, frozenset({1}))
     assert result == odd_positives()
+
+
+def assert_mask_matches(s: PeriodicSet, start: int, count: int) -> None:
+    assert s.rank_mask_block(start, count) == ref.rank_mask_block(s, start, count), (
+        s, start, count,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzz_masks_match_pointwise_form(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        a, b = random_set(rng), random_set(rng)
+        for s in (a, a | b, a - b, a.complement()):
+            assert_mask_matches(s, 1, 300)
+            assert_mask_matches(s, rng.randint(1, 300), rng.randint(0, 300))
+            assert_mask_matches(s, rng.randint(1, 300), 0)
+
+
+def test_wide_operand_masks_match_pointwise_form():
+    n = 10**9
+    for s in wide_operands(1000, 3) + NAMED:
+        for start, count in ((1, 4100), (1990, 25), (2001, 0), (3997, 9)):
+            assert_mask_matches(s, start, count)
+    for s in (PeriodicSet.ray(n, 1), parse("Fin{0,1000000000}"), q_set(n)):
+        # Ranks 1 to 64 and the ranks around +-n, where each operand changes.
+        for start, count in ((1, 64), (2 * n - 6, 16), (2 * n + 1, 0)):
+            assert_mask_matches(s, start, count)

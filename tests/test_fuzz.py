@@ -1,7 +1,14 @@
 import random
 
 from limitgames.algebra import PeriodicSet
-from limitgames.fuzz import MAX_PERIOD, WINDOW_LIMIT, check_canonical, random_set, run_suite
+from limitgames.fuzz import (
+    MAX_PERIOD,
+    WINDOW_LIMIT,
+    check_canonical,
+    check_mask,
+    random_set,
+    run_suite,
+)
 
 
 def test_suite_passes_and_is_deterministic():
@@ -37,6 +44,13 @@ def test_check_canonical_catches_bad_instances():
     # A window cell that just restates the tail rule must be absorbed.
     bad2 = PeriodicSet(1, frozenset(), -2, 2, frozenset({2}), 2, frozenset({0}))
     assert check_canonical(bad2) is not None
+
+
+def test_check_mask_catches_a_wrong_mask(monkeypatch):
+    s = PeriodicSet.ray(3, 2)
+    assert check_mask(s) is None
+    monkeypatch.setattr(PeriodicSet, "rank_mask_block", lambda self, start, count: 0)
+    assert "rank mask" in check_mask(s)
 
 
 def test_failure_report_shape():

@@ -49,6 +49,11 @@ def test_whitespace_insensitive():
         "Q(0)",
         "Ray(1, 0)",
         "Fin{1 2}",
+        "Fin{1,}",
+        "Fin{,}",
+        "Fin{a}",
+        "Fin{1,(2)}",
+        "Fin",
         "O |",
         "(O | E",
         "O ) E",
@@ -60,6 +65,11 @@ def test_whitespace_insensitive():
 def test_malformed_expressions(text):
     with pytest.raises(SetSpecError):
         parse(text)
+
+
+def test_malformed_fin_list_names_its_position():
+    with pytest.raises(SetSpecError, match="Fin list at position 4"):
+        parse("O | Fin{1,x} | E")
 
 
 def test_format_examples():
