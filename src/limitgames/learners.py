@@ -457,6 +457,17 @@ def _identify_by_telltale(
 # ----------------------------------------------------------------------
 
 
+class _Candidate:
+    """A live candidate: its collection index, language and rank mask."""
+
+    __slots__ = ("index", "lang", "mask")
+
+    def __init__(self, index: int, lang: PeriodicSet, mask: int):
+        self.index = index
+        self.lang = lang
+        self.mask = mask
+
+
 class _SideTracker:
     """Live (consistent) candidates of one collection side, in index order,
     with their rank masks at the shared length ``length``.
@@ -470,9 +481,7 @@ class _SideTracker:
     def __init__(self, coll: LanguageCollection, label: int):
         self.coll = coll
         self.label = label
-        self.alive: list[int] = []
-        self.langs: list[PeriodicSet] = []
-        self.masks: list[int] = []
+        self.live: list[_Candidate] = []
         self.sample = 0
         self.admitted = 0
         self.max_span = 1
@@ -480,19 +489,13 @@ class _SideTracker:
 
     def kill(self, new_values: list[int]) -> None:
         for v in new_values:
-            keep = [k for k, lang in enumerate(self.langs) if v in lang]
-            if len(keep) < len(self.langs):
-                self.alive = [self.alive[k] for k in keep]
-                self.langs = [self.langs[k] for k in keep]
-                self.masks = [self.masks[k] for k in keep]
+            self.live = [c for c in self.live if v in c.lang]
 
     def grow(self, length: int) -> None:
         if length > self.length:
             old, width = self.length, length - self.length
-            self.masks = [
-                mk | lang.rank_mask_block(old + 1, width) << old
-                for mk, lang in zip(self.masks, self.langs)
-            ]
+            for c in self.live:
+                c.mask |= c.lang.rank_mask_block(old + 1, width) << old
             self.length = length
 
     def admit(self, upto: int) -> None:
@@ -503,9 +506,7 @@ class _SideTracker:
             self.max_span = max(self.max_span, lang.span())
             mask = lang.rank_mask_block(1, self.length)
             if self.sample & ~mask == 0:
-                self.alive.append(self.admitted)
-                self.langs.append(lang)
-                self.masks.append(mask)
+                self.live.append(_Candidate(self.admitted, lang, mask))
 
     def drops(self) -> list[float]:
         """The drop point of every live candidate, in one pass: the least
@@ -519,15 +520,15 @@ class _SideTracker:
         out: list[float] = []
         if self.label:
             acc = -1
-            for mk in self.masks:
-                acc &= mk
-                d = mk ^ acc
+            for c in self.live:
+                acc &= c.mask
+                d = c.mask ^ acc
                 out.append((d & -d).bit_length() if d else inf)
         else:
             acc = 0
-            for mk in self.masks:
-                acc |= mk
-                d = acc ^ mk
+            for c in self.live:
+                acc |= c.mask
+                d = acc ^ c.mask
                 out.append((d & -d).bit_length() if d else inf)
         return out
 
@@ -572,17 +573,17 @@ class _DropWalker:
         """
         true, harm = self._sides[0], self._sides[1] if len(self._sides) > 1 else None
         drops = [side.drops() for side in self._sides]
-        ki = len(true.alive) - 1
-        hi = len(harm.alive) - 1 if harm is not None else -1
+        ki = len(true.live) - 1
+        hi = len(harm.live) - 1 if harm is not None else -1
         while True:
             while drops[0][ki] <= m:
                 ki -= 1
-            avail = true.masks[ki] & ~self._seen
+            avail = true.live[ki].mask & ~self._seen
             drop = drops[0][ki]
             if hi >= 0:
                 while drops[1][hi] <= m:
                     hi -= 1
-                avail &= ~harm.masks[hi]
+                avail &= ~harm.live[hi].mask
                 drop = min(drop, drops[1][hi])
             rank = (avail & -avail).bit_length() if avail else inf
             first = min(rank, drop)
@@ -612,8 +613,8 @@ class ChoiceRecord:
 class CriticalGenerator(_DropWalker):
     """Stateful generation learner over one collection (true side only).
 
-    Keeps consistency and prefix bitmasks incrementally; outputs match
-    :func:`critical_generate` step for step.  Strings carrying either label
+    Keeps consistency and rank masks incrementally and escalates over drop
+    points; outputs match :func:`critical_generate` step for step.  Strings carrying either label
     count as seen and are never emitted.
     """
 
@@ -624,7 +625,7 @@ class CriticalGenerator(_DropWalker):
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
         self._observe(revealed, t)
         side = self._sides[0]
-        if not side.alive:
+        if not side.live:
             return LearnerOutput.generate(universe_elem(1))
         bound = _escalation_bound(self._max_rank, t, [side.max_span])
         rank, _, _ = self._walk(self._max_rank, bound)
@@ -668,14 +669,14 @@ class ConservativePairGenerator(_DropWalker):
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
         self._observe(revealed, t)
         true, harm = self._sides
-        if not true.alive:
+        if not true.live:
             self.choice_log.append(ChoiceRecord(t, None, None, None, "generate"))
             return LearnerOutput.generate(universe_elem(1))
         span = max(true.max_span, harm.max_span)
         bound = _escalation_bound(self._max_rank, t, [span])
         rank, ki, hi = self._walk(self._max_rank, bound)
-        kc = true.alive[ki]
-        hc = harm.alive[hi] if hi is not None else None
+        kc = true.live[ki].index
+        hc = harm.live[hi].index if hi is not None else None
         if rank is not None:
             self.choice_log.append(ChoiceRecord(t, kc, hc, None, "generate"))
             return LearnerOutput.generate(universe_elem(rank))
