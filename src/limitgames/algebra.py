@@ -283,15 +283,16 @@ class PeriodicSet:
             else:
                 pos_half = _members_in(window, 1, hi)
                 neg_half = window - pos_half
-        pieces = [(-inf, lo - 1, (self.neg_period, self.neg_residues), [])]
+        neg_tail = (self.neg_period, self.neg_residues)
+        pos_tail = (self.pos_period, self.pos_residues)
+        pieces = [(-inf, lo - 1, neg_tail, [])]
         if lo <= 0:
             end = min(hi, 0)
-            pieces.append((lo, end, *_describe(neg_half, lo, end, pieces[0][2])))
+            pieces.append((lo, end, *_describe(neg_half, lo, end, neg_tail)))
         if hi >= 1:
             start = max(lo, 1)
-            tail = (self.pos_period, self.pos_residues)
-            pieces.append((start, hi, *_describe(pos_half, start, hi, tail)))
-        pieces.append((hi + 1, inf, (self.pos_period, self.pos_residues), []))
+            pieces.append((start, hi, *_describe(pos_half, start, hi, pos_tail)))
+        pieces.append((hi + 1, inf, pos_tail, []))
         return pieces
 
     def span(self) -> int:
@@ -538,6 +539,7 @@ def _combine(
 
 
 def _members_in(members: frozenset[int], a: int, b: int) -> frozenset[int]:
+    """The members in [a, b], from whichever of the two is smaller."""
     if b - a < len(members):
         return members.intersection(range(a, b + 1))
     return frozenset(x for x in members if a <= x <= b)
