@@ -125,14 +125,15 @@ class PhasedInjectionAdversary:
         )
         self._pending: deque[int] = deque()
         self._last_was_injection = False
-        self._harm_cache: dict[int, PeriodicSet] = {}
         self._true = all_integers()
-        self._safe = q_set(self.phase)  # Q(-phase), rebuilt only when the phase advances
+        # Q(-phase) and the committed harm language Y(-(phase-1)), rebuilt
+        # only when the phase advances.  The harm language is built by the
+        # next current_pair, so no step pays for both builds.
+        self._safe = q_set(self.phase)
+        self._harm: PeriodicSet | None = None
         self.injections: list[tuple[int, int]] = []  # (step, depth)
-        self._step = 0
 
     def emit(self, t: int) -> Emission:
-        self._step = t
         if self._pending and not self._last_was_injection:
             depth = self._pending.popleft()
             self._last_was_injection = True
@@ -150,14 +151,12 @@ class PhasedInjectionAdversary:
             self._pending.append(self.phase)
             self.phase += 1
             self._safe = q_set(self.phase)
+            self._harm = None
 
     def current_pair(self) -> tuple[PeriodicSet, PeriodicSet]:
-        depth = self.phase - 1
-        harm = self._harm_cache.get(depth)
-        if harm is None:
-            harm = y_set(depth)
-            self._harm_cache[depth] = harm
-        return self._true, harm
+        if self._harm is None:
+            self._harm = y_set(self.phase - 1)
+        return self._true, self._harm
 
     def limit_pair(self) -> tuple[PeriodicSet, PeriodicSet]:
         """The pair the construction converges to over infinitely many phases."""

@@ -127,11 +127,10 @@ def _load_game(path: Path) -> ScenarioSpec:
 
 
 def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
-    if getattr(args, "horizon_override", None):
+    if args.horizon_override is not None:
         spec.horizon = args.horizon_override
-    if getattr(args, "window_override", None):
+    if args.window_override is not None:
         spec.window = args.window_override
-    spec.validate()
     return spec
 
 

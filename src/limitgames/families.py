@@ -194,9 +194,12 @@ def is_consistent_harm(lang: PeriodicSet, revealed: RevealedSet) -> bool:
 def consistent_indices(
     coll: LanguageCollection, revealed: RevealedSet, t: int, side: Side
 ) -> list[int]:
-    """Indices i <= t whose language is consistent on the given side, ascending."""
+    """The indices among the first ``coll.candidate_count(t)`` whose language
+    is consistent on the given side, ascending."""
     check = is_consistent_true if side == "true" else is_consistent_harm
-    return [i for i in range(1, t + 1) if check(coll.at(i), revealed)]
+    return [
+        i for i in range(1, coll.candidate_count(t) + 1) if check(coll.at(i), revealed)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,10 @@ Both properties are monotone in the cutoff.  Candidate i is critical at
 cutoff m exactly when m < drop(i), where drop(i) is the rank of the first
 member of i missing from some earlier consistent candidate (dually: the
 first member of some earlier candidate that i lacks).  The stateful classes
-keep the rank mask of every consistent candidate at one shared length and
-compute every drop point in one forward pass over the masks: the running
+keep the rank mask of every consistent candidate at one shared length, so
+consistency is one mask test against the side's sampled ranks, both when a
+candidate is admitted and when new examples arrive.  They compute every
+drop point in one forward pass over the masks: the running
 AND (dually OR) of the earlier masks against each candidate's own.  The
 choice at cutoff m is the highest candidate whose drop point exceeds m; as
 m grows it only moves down, and only at drop points.  So the escalation is
@@ -44,6 +46,7 @@ from .families import (
     LanguageCollection,
     MissingTelltaleError,
     RevealedSet,
+    consistent_indices,
     is_consistent_harm,
     is_consistent_true,
 )
@@ -176,10 +179,7 @@ def critical_generate(
     grows until the chosen candidate offers an unseen element within range.
     Falls back to the first universe element when nothing is consistent.
     """
-    limit = coll.candidate_count(t)
-    consistent = [
-        i for i in range(1, limit + 1) if is_consistent_true(coll.at(i), revealed)
-    ]
+    consistent = consistent_indices(coll, revealed, t, "true")
     if not consistent:
         return LearnerOutput.generate(universe_elem(1))
     seen = revealed.pos | revealed.neg
@@ -213,14 +213,8 @@ def conservative_pair_generate(
     the chosen difference can be empty; the search then exhausts its bound
     and the learner gives up with bottom (or an arbitrary word when relaxed).
     """
-    limit_k = coll_true.candidate_count(t)
-    limit_h = coll_harm.candidate_count(t)
-    cons_k = [
-        i for i in range(1, limit_k + 1) if is_consistent_true(coll_true.at(i), revealed)
-    ]
-    cons_h = [
-        i for i in range(1, limit_h + 1) if is_consistent_harm(coll_harm.at(i), revealed)
-    ]
+    cons_k = consistent_indices(coll_true, revealed, t, "true")
+    cons_h = consistent_indices(coll_harm, revealed, t, "harm")
     if not cons_k:
         return LearnerOutput.generate(universe_elem(1))
     seen = revealed.pos | revealed.neg
@@ -354,12 +348,7 @@ def identify_with_probes(
     subsets left of their supersets and equal languages in index order, so
     in the limit the head is the smallest index of the enumerated language.
     """
-    limit = coll.candidate_count(t)
-    entries = [
-        (i, coll.at(i))
-        for i in range(1, limit + 1)
-        if is_consistent_true(coll.at(i), revealed)
-    ]
+    entries = [(i, coll.at(i)) for i in consistent_indices(coll, revealed, t, "true")]
     if not entries:
         return LearnerOutput.index(1)
     ordered = order_consistent(entries, revealed, sg)
@@ -400,26 +389,14 @@ def telltale_safe_generate(
     k_hat = _identify_by_telltale(coll_true, revealed, t, "true")
     h_hat = _identify_by_telltale(coll_harm, revealed, t, "harm")
     if k_hat is not None and h_hat is not None:
-        diff = coll_true.at(k_hat) - coll_harm.at(h_hat)
-        if diff.cardinality().is_infinite:
-            word = diff.first_not_in(revealed.contains)
-            if word is None:
-                raise RuntimeError("an infinite difference has no unseen member")
-            return LearnerOutput.generate(word)
-        return (
-            LearnerOutput.bottom() if strict else LearnerOutput.generate(universe_elem(1))
+        return reference_safe_generate(
+            coll_true.at(k_hat), coll_harm.at(h_hat), revealed, strict=strict
         )
     # Conservative fallback while identification is incomplete.
-    limit_k = coll_true.candidate_count(t)
-    cons_k = [
-        i for i in range(1, limit_k + 1) if is_consistent_true(coll_true.at(i), revealed)
-    ]
+    cons_k = consistent_indices(coll_true, revealed, t, "true")
     if not cons_k:
         return LearnerOutput.generate(universe_elem(1))
-    limit_h = coll_harm.candidate_count(t)
-    cons_h = [
-        i for i in range(1, limit_h + 1) if is_consistent_harm(coll_harm.at(i), revealed)
-    ]
+    cons_h = consistent_indices(coll_harm, revealed, t, "harm")
     seen = revealed.pos | revealed.neg
     m = max((universe_index(x) for x in seen), default=1)
     kc = _primal_best_sets(coll_true, cons_k, m)
@@ -487,9 +464,10 @@ class _SideTracker:
         self.max_span = 1
         self.length = 0
 
-    def kill(self, new_values: list[int]) -> None:
-        for v in new_values:
-            self.live = [c for c in self.live if v in c.lang]
+    def kill(self, new: int) -> None:
+        # The masks must already cover every rank in ``new``.
+        if new:
+            self.live = [c for c in self.live if c.mask & new == new]
 
     def grow(self, length: int) -> None:
         if length > self.length:
@@ -544,24 +522,22 @@ class _DropWalker:
         self._max_rank = 1
 
     def _observe(self, revealed: RevealedSet, t: int) -> None:
-        """Take in the new events: kill, grow the masks, admit."""
-        new: tuple[list[int], list[int]] = ([], [])
-        samples = [0, 0]
+        """Take in the new events: grow the masks, kill, admit."""
+        new = [0, 0]  # the new ranks of each label, as bit sets
         for ex in revealed.events[self._consumed :]:
             rank = universe_index(ex.element)
-            self._seen |= 1 << (rank - 1)
-            samples[ex.label] |= 1 << (rank - 1)
+            new[ex.label] |= 1 << (rank - 1)
             if rank > self._max_rank:
                 self._max_rank = rank
-            new[ex.label].append(ex.element)
         self._consumed = len(revealed.events)
+        self._seen |= new[0] | new[1]
         length = self._sides[0].length
         if self._max_rank > length:
             length = max(self._max_rank, 2 * length, 64)
         for side in self._sides:
-            side.kill(new[side.label])
-            side.sample |= samples[side.label]
             side.grow(length)
+            side.kill(new[side.label])
+            side.sample |= new[side.label]
             side.admit(side.coll.candidate_count(t))
 
     def _walk(self, m: int, bound: int) -> tuple[int | None, int, int | None]:

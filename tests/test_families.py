@@ -57,6 +57,11 @@ def test_consistent_indices():
     assert consistent_indices(dup, revealed(pos=[1]), 2, "true") == [1, 2]
 
 
+def test_consistent_indices_stop_at_declared_length():
+    coll = LanguageCollection.explicit("c", [all_integers(), odd_positives()])
+    assert consistent_indices(coll, revealed(pos=[1]), 5, "true") == [1, 2]
+
+
 def test_consistent_indices_shrink_monotonically():
     coll = LanguageCollection.explicit(
         "c", [all_integers(), odd_positives(), q_set(1), even_nonnegatives()]

@@ -113,6 +113,15 @@ def test_cli_run_overrides(tmp_path, capsys):
     assert verdict["horizon"] == 60 and verdict["window"] == 15
 
 
+@pytest.mark.parametrize(
+    "flag,field", [("--horizon-override", "horizon"), ("--window-override", "window")]
+)
+def test_cli_zero_override_exits_2(tmp_path, capsys, flag, field):
+    path = CATALOGUE / "generation.json"
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), flag, "0"]) == 2
+    assert f"error: {field} must" in capsys.readouterr().err
+
+
 def test_cli_rejects_malformed_scenario(tmp_path, capsys):
     bad = gen_scenario()
     bad["adversary"] = {"kind": "positive_stream", "lang": "Y("}
