@@ -15,8 +15,11 @@ class of a tail is one bit progression, and each half of the window (split
 at zero) is the progression of a rule chosen once per set XOR the points it
 lists against that rule inside the requested range, so a mask takes
 O(residues + listed points in range) Python steps plus big-integer work
-linear in its width.  Universe-order scans (``prefix``,
-``iter_universe_order``, ``first_not_in``) still test one rank at a time.
+linear in its width.  ``first_not_in`` over a revealed sample is a mask
+scan: chunks of doubling width tested against the sample's rank bit set,
+so finding rank r costs O(log r) masks.  ``prefix``, ``iter_universe_order``
+and ``first_not_in`` over a predicate or a plain container still test one
+rank at a time.
 
 The universe is enumerated in zigzag order 0, 1, -1, 2, -2, ...;
 ``universe_elem`` and ``universe_index`` convert between 1-based ranks and
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from math import inf, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Protocol, Sequence
 
 
 def universe_elem(rank: int) -> int:
@@ -49,6 +52,14 @@ def universe_index(value: int) -> int:
     if value == 0:
         return 1
     return 2 * value if value > 0 else 2 * (-value) + 1
+
+
+class RankedSample(Protocol):
+    """A sample that keeps the universe ranks of its members as one bit set:
+    bit r - 1 is set when the member of rank r is in it."""
+
+    @property
+    def ranks(self) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -217,15 +228,34 @@ class PeriodicSet:
                         return
             rank += 1
 
-    def first_not_in(self, seen: Callable[[int], bool] | set[int]) -> int | None:
-        """First member (universe order) outside ``seen``; None if exhausted."""
-        if isinstance(seen, set):
-            check = seen.__contains__
+    def first_not_in(
+        self, seen: Callable[[int], bool] | Container[int] | RankedSample
+    ) -> int | None:
+        """First member (universe order) outside ``seen``; None if exhausted.
+
+        ``seen`` is a predicate, any container, or a sample that keeps its
+        members' ranks as a bit set (``RevealedSet``).  A sample is scanned
+        in ``rank_mask_block`` chunks of doubling width against that bit
+        set, with no Python call per rank.
+        """
+        ranks = getattr(seen, "ranks", None)
+        if ranks is None:
+            check = seen if callable(seen) else seen.__contains__
+            for x in self.iter_universe_order():
+                if not check(x):
+                    return x
+            return None
+        if self.cardinality().is_infinite:
+            last: float = inf
         else:
-            check = seen
-        for x in self.iter_universe_order():
-            if not check(x):
-                return x
+            last = max(universe_index(self.lo), universe_index(self.hi)) if self.window else 0
+        start, width = 1, 64
+        while start <= last:
+            free = self.rank_mask_block(start, width) & ~(ranks >> (start - 1))
+            if free:
+                return universe_elem(start + (free & -free).bit_length() - 1)
+            start += width
+            width *= 2
         return None
 
     def membership_range(self, lo: int, hi: int) -> list[bool]:

@@ -24,6 +24,7 @@ from .algebra import (
     negative_integers,
     odd_positives,
     q_set,
+    universe_index,
     y_set,
 )
 
@@ -53,15 +54,21 @@ class RevealedSet:
 
     ``pos`` and ``neg`` hold the elements seen with label 1 and 0; ``events``
     keeps the arrival order so incremental consumers can read deltas.
+    ``ranks`` is the bit set of the universe ranks seen with either label
+    (bit r - 1 for rank r).  It takes one OR per event, made when it is next
+    read, so scoring a stored trace, which never reads it, builds no mask
+    for a far-out element.
     """
 
-    __slots__ = ("events", "pos", "neg", "step")
+    __slots__ = ("events", "pos", "neg", "step", "_ranks", "_ranked")
 
     def __init__(self) -> None:
         self.events: list[LabeledExample] = []
         self.pos: set[int] = set()
         self.neg: set[int] = set()
         self.step = 0
+        self._ranks = 0
+        self._ranked = 0
 
     def add(self, example: LabeledExample) -> None:
         self.events.append(example)
@@ -70,6 +77,13 @@ class RevealedSet:
             self.pos.add(example.element)
         else:
             self.neg.add(example.element)
+
+    @property
+    def ranks(self) -> int:
+        for ex in self.events[self._ranked :]:
+            self._ranks |= 1 << (universe_index(ex.element) - 1)
+        self._ranked = len(self.events)
+        return self._ranks
 
     def contains(self, x: int) -> bool:
         return x in self.pos or x in self.neg

@@ -4,12 +4,18 @@ Two families of learners live here:
 
 * plain functions (``critical_generate``, ``conservative_pair_generate``,
   ``identify_with_probes``, ...) that recompute everything from the revealed
-  sample each step, written in the most direct form; and
-* stateful classes (``CriticalGenerator``, ``ConservativePairGenerator``)
-  that keep consistency and rank masks incrementally and escalate the
-  cutoff over drop points, so the 2000-step adversarial scenarios stay
-  fast.  The classes produce the same outputs as the functions; tests pin
-  that equivalence.
+  sample each step, written in the most direct form; they are the reference
+  oracles; and
+* the game-facing classes.  Every one that does more than constant work a
+  step is stateful: it keeps its consistent candidates as rank masks from
+  step to step (``_SideTracker``), so a step costs the new examples and the
+  live candidates, not a pass over all t examples.  ``CriticalGenerator``
+  and ``ConservativePairGenerator`` escalate the cutoff over drop points;
+  ``NaiveIdentifier`` reads the first live candidate; ``TelltaleGenerator``
+  tests telltales as rank masks; ``ProbeIdentifier`` keeps every compared
+  pair's probe sample and extends it by one word per side a step.  The
+  classes produce the same outputs as the functions; tests pin that
+  equivalence step by step.
 
 Generation learners pick candidates by finite-prefix evidence: a candidate
 is *critical* at cutoff m when its m-prefix is contained in the m-prefix of
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol, TypeVar
 
 from .algebra import Cardinality, PeriodicSet, universe_elem, universe_index
 from .families import (
@@ -89,7 +95,11 @@ class Learner(Protocol):
 
 
 # A pluggable safe-generation subroutine: explicit hypothesis pair plus a
-# revealed sample in, one move out.
+# labeled sample in, one move out.  A probe's sample holds the first t
+# members of each hypothesis in universe order (t the game step),
+# interleaved true word then harm word.  ``ProbeIdentifier`` passes the same
+# sample object again at later steps, extended in place, so ``sg`` must not
+# mutate it.
 SgSubroutine = Callable[[PeriodicSet, PeriodicSet, RevealedSet], LearnerOutput]
 
 
@@ -112,7 +122,7 @@ def reference_safe_generate(
     """
     diff = true_hyp - harm_hyp
     if diff.cardinality().is_infinite:
-        word = diff.first_not_in(revealed.contains)
+        word = diff.first_not_in(revealed)
         if word is None:
             raise RuntimeError("an infinite difference has no unseen member")
         return LearnerOutput.generate(word)
@@ -275,8 +285,7 @@ def _probe_one(
     k_lang: PeriodicSet, h_lang: PeriodicSet, t: int, sg: SgSubroutine
 ) -> int:
     # Feed the subroutine a fresh labeled enumeration (t words per side,
-    # true word then harm word) and check its output with the membership
-    # oracles: did it produce an element of k_lang \ h_lang?
+    # true word then harm word).
     probe = RevealedSet()
     k_iter = k_lang.iter_universe_order()
     h_iter = h_lang.iter_universe_order()
@@ -287,9 +296,16 @@ def _probe_one(
         hx = next(h_iter, None)
         if hx is not None:
             probe.add(LabeledExample(hx, 0))
+    return _sg_hits(k_lang, h_lang, probe, sg)
+
+
+def _sg_hits(
+    k_lang: PeriodicSet, h_lang: PeriodicSet, probe: RevealedSet, sg: SgSubroutine
+) -> int:
+    # Check the subroutine's output with the membership oracles: did it
+    # produce an element of k_lang \ h_lang?
     out = sg(k_lang, h_lang, probe)
-    ok = out.is_generate and out.value in k_lang and out.value not in h_lang
-    return 1 if ok else 0
+    return 1 if out.is_generate and out.value in k_lang and out.value not in h_lang else 0
 
 
 def subset_probe(
@@ -323,14 +339,23 @@ def order_consistent(
     """
     sub = sg or relaxed_reference_sg
     t = revealed.step
-    out: list[tuple[int, PeriodicSet]] = []
-    for entry in sorted(entries, key=lambda e: e[0]):
+    return _insertion_order(
+        sorted(entries, key=lambda e: e[0]),
+        lambda left, right: _probe_one(left[1], right[1], t, sub),
+    )
+
+
+_E = TypeVar("_E")
+
+
+def _insertion_order(entries: list[_E], left_generates: Callable[[_E, _E], int]) -> list[_E]:
+    """Append each entry in turn and bubble it left while its left neighbour
+    can generate outside it."""
+    out: list[_E] = []
+    for entry in entries:
         out.append(entry)
         j = len(out) - 1
-        while j >= 1:
-            left = out[j - 1]
-            if not _probe_one(left[1], out[j][1], t, sub):
-                break
+        while j >= 1 and left_generates(out[j - 1], out[j]):
             out[j - 1], out[j] = out[j], out[j - 1]
             j -= 1
     return out
@@ -510,15 +535,23 @@ class _SideTracker:
                 out.append((d & -d).bit_length() if d else inf)
         return out
 
+    def choice(self, m: int) -> _Candidate | None:
+        """The side's choice at cutoff ``m`` (within the masks): the highest
+        live candidate whose drop point exceeds it."""
+        for c, drop in zip(reversed(self.live), reversed(self.drops())):
+            if drop > m:
+                return c
+        return None
+
 
 class _DropWalker:
-    """The state both stateful generators share: the seen ranks, one side
-    tracker per collection, and the escalation walk over drop points."""
+    """The state every stateful learner shares: one side tracker per
+    collection, the largest seen rank, and the escalation walk over drop
+    points."""
 
     def __init__(self, *sides: _SideTracker):
         self._sides = sides
         self._consumed = 0
-        self._seen = 0
         self._max_rank = 1
 
     def _observe(self, revealed: RevealedSet, t: int) -> None:
@@ -530,7 +563,6 @@ class _DropWalker:
             if rank > self._max_rank:
                 self._max_rank = rank
         self._consumed = len(revealed.events)
-        self._seen |= new[0] | new[1]
         length = self._sides[0].length
         if self._max_rank > length:
             length = max(self._max_rank, 2 * length, 64)
@@ -540,12 +572,12 @@ class _DropWalker:
             side.sample |= new[side.label]
             side.admit(side.coll.candidate_count(t))
 
-    def _walk(self, m: int, bound: int) -> tuple[int | None, int, int | None]:
+    def _walk(self, m: int, bound: int, seen: int) -> tuple[int | None, int, int | None]:
         """Escalate the cutoff from ``m`` over drop points, as the module
-        docstring describes.  Returns the rank to emit (None when the walk
-        passes ``bound`` first) with the true and harm positions chosen at
-        that cutoff (harm None when no harm candidate is alive).  The true
-        side must have a live candidate.
+        docstring describes, emitting no rank set in ``seen``.  Returns the
+        rank to emit (None when the walk passes ``bound`` first) with the
+        true and harm positions chosen at that cutoff (harm None when no
+        harm candidate is alive).  The true side must have a live candidate.
         """
         true, harm = self._sides[0], self._sides[1] if len(self._sides) > 1 else None
         drops = [side.drops() for side in self._sides]
@@ -554,7 +586,7 @@ class _DropWalker:
         while True:
             while drops[0][ki] <= m:
                 ki -= 1
-            avail = true.live[ki].mask & ~self._seen
+            avail = true.live[ki].mask & ~seen
             drop = drops[0][ki]
             if hi >= 0:
                 while drops[1][hi] <= m:
@@ -604,7 +636,7 @@ class CriticalGenerator(_DropWalker):
         if not side.live:
             return LearnerOutput.generate(universe_elem(1))
         bound = _escalation_bound(self._max_rank, t, [side.max_span])
-        rank, _, _ = self._walk(self._max_rank, bound)
+        rank, _, _ = self._walk(self._max_rank, bound, revealed.ranks)
         if rank is None:
             raise RuntimeError("prefix cutoff escalation exceeded its bound")
         return LearnerOutput.generate(universe_elem(rank))
@@ -650,7 +682,7 @@ class ConservativePairGenerator(_DropWalker):
             return LearnerOutput.generate(universe_elem(1))
         span = max(true.max_span, harm.max_span)
         bound = _escalation_bound(self._max_rank, t, [span])
-        rank, ki, hi = self._walk(self._max_rank, bound)
+        rank, ki, hi = self._walk(self._max_rank, bound, revealed.ranks)
         kc = true.live[ki].index
         hc = harm.live[hi].index if hi is not None else None
         if rank is not None:
@@ -670,26 +702,75 @@ class ConservativePairGenerator(_DropWalker):
 # ----------------------------------------------------------------------
 
 
-class ProbeIdentifier:
-    """Identification via ordered consistent lists and generation probes."""
+class ProbeIdentifier(_DropWalker):
+    """Identification via ordered consistent lists and generation probes.
+
+    Keeps the live candidates by masks, each live language's members in
+    universe order, and each compared pair's probe sample, one word per
+    side longer every step; outputs and subroutine calls match
+    :func:`identify_with_probes` step for step.
+    """
 
     def __init__(self, coll: LanguageCollection, sg: SgSubroutine | None = None):
+        super().__init__(_SideTracker(coll, 1))
         self.coll = coll
         self.sg = sg or relaxed_reference_sg
+        self._members: dict[int, tuple[list[int], Iterator[int]]] = {}
+        self._probes: dict[tuple[int, int], RevealedSet] = {}
+
+    def _words(self, c: _Candidate, t: int) -> list[int]:
+        """The first ``t`` members of ``c`` in universe order (at least)."""
+        entry = self._members.get(c.index)
+        if entry is None:
+            entry = self._members[c.index] = ([], c.lang.iter_universe_order())
+        words, rest = entry
+        while len(words) < t:
+            words.append(next(rest))
+        return words
+
+    def _generates(self, left: _Candidate, right: _Candidate, t: int) -> int:
+        """The probe of ``left`` minus ``right``: their sample, extended to
+        ``t`` words per side, fed to the subroutine."""
+        key = (left.index, right.index)
+        probe = self._probes.get(key)
+        if probe is None:
+            probe = self._probes[key] = RevealedSet()
+        k_words, h_words = self._words(left, t), self._words(right, t)
+        for j in range(probe.step // 2, t):
+            probe.add(LabeledExample(k_words[j], 1))
+            probe.add(LabeledExample(h_words[j], 0))
+        return _sg_hits(left.lang, right.lang, probe, self.sg)
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
-        return identify_with_probes(self.coll, revealed, t, self.sg)
+        self._observe(revealed, t)
+        live = self._sides[0].live
+        if not live:
+            return LearnerOutput.index(1)
+        n = revealed.step
+        ordered = _insertion_order(live, lambda left, right: self._generates(left, right, n))
+        return LearnerOutput.index(ordered[0].index)
 
 
-class NaiveIdentifier:
+class NaiveIdentifier(_DropWalker):
+    """Guesses the first live index; outputs match :func:`naive_identify`."""
+
     def __init__(self, coll: LanguageCollection):
+        super().__init__(_SideTracker(coll, 1))
         self.coll = coll
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
-        return naive_identify(self.coll, revealed, t)
+        self._observe(revealed, t)
+        live = self._sides[0].live
+        return LearnerOutput.index(live[0].index if live else 1)
 
 
-class TelltaleGenerator:
+class TelltaleGenerator(_DropWalker):
+    """Identifies each side by its first live candidate whose telltale the
+    side's sample covers, then consults the exact difference; until both
+    are identified, generates from the choice at the largest seen rank.
+    Outputs match :func:`telltale_safe_generate` step for step.
+    """
+
     def __init__(
         self,
         coll_true: LanguageCollection,
@@ -697,14 +778,52 @@ class TelltaleGenerator:
         *,
         strict: bool = True,
     ):
+        super().__init__(_SideTracker(coll_true, 1), _SideTracker(coll_harm, 0))
         self.coll_true = coll_true
         self.coll_harm = coll_harm
         self.strict = strict
+        # Per side: index -> (highest telltale rank, rank mask).  A mask is
+        # built once the side's sample reaches that rank; before then the
+        # telltale cannot be covered.
+        self._telltales = [
+            {
+                i: (max(map(universe_index, tell), default=0), None)
+                for i, tell in (coll.telltales or {}).items()
+            }
+            for coll in (coll_true, coll_harm)
+        ]
+
+    def _identify(self, side: int) -> _Candidate | None:
+        tracker, tells = self._sides[side], self._telltales[side]
+        reach = tracker.sample.bit_length()
+        for c in tracker.live:
+            top, tell = tells.get(c.index, (inf, None))
+            if top > reach:
+                continue
+            if tell is None:
+                tell = sum(1 << (universe_index(x) - 1) for x in tracker.coll.telltale(c.index))
+                tells[c.index] = (top, tell)
+            if tell & ~tracker.sample == 0:
+                return c
+        return None
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
-        return telltale_safe_generate(
-            self.coll_true, self.coll_harm, revealed, t, strict=self.strict
-        )
+        self._observe(revealed, t)
+        k_hat, h_hat = self._identify(0), self._identify(1)
+        if k_hat is not None and h_hat is not None:
+            return reference_safe_generate(k_hat.lang, h_hat.lang, revealed, strict=self.strict)
+        true, harm = self._sides
+        kc = true.choice(self._max_rank)
+        if kc is None:
+            return LearnerOutput.generate(universe_elem(1))
+        hc = harm.choice(self._max_rank)
+        diff = kc.lang - (hc.lang if hc is not None else PeriodicSet.empty())
+        word = diff.first_not_in(revealed)
+        if word is None:
+            word = kc.lang.first_not_in(revealed)
+            if word is None:
+                raise RuntimeError("an infinite candidate has no unseen member")
+        return LearnerOutput.generate(word)
 
 
 class EagerIdentifier:

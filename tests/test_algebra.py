@@ -17,6 +17,7 @@ from limitgames.algebra import (
     universe_index,
     y_set,
 )
+from limitgames.families import LabeledExample, RevealedSet
 
 # Independent reference predicates for the named languages.
 REF = {
@@ -154,11 +155,32 @@ def test_enumeration_terminates_for_finite_sets():
     assert list(PeriodicSet.empty().iter_universe_order()) == []
 
 
+def sample(*xs):
+    r = RevealedSet()
+    for x in xs:
+        r.add(LabeledExample(x, 1))
+    return r
+
+
+def seen_forms(*xs):
+    """``xs`` as each kind of argument ``first_not_in`` takes."""
+    return (set(xs), frozenset(xs), set(xs).__contains__, sample(*xs))
+
+
 def test_first_not_in():
     O = odd_positives()
-    assert O.first_not_in({1, 3}) == 5
-    assert O.first_not_in(set()) == 1
-    assert PeriodicSet.finite({1}).first_not_in({1}) is None
+    for seen in seen_forms(1, 3):
+        assert O.first_not_in(seen) == 5
+    for seen in seen_forms():
+        assert O.first_not_in(seen) == 1
+    fin = PeriodicSet.finite({1, -300})
+    for seen in seen_forms(1, -300):
+        assert fin.first_not_in(seen) is None
+    for seen in seen_forms(1):
+        assert fin.first_not_in(seen) == -300
+    for seen in seen_forms(*range(-200, 200)):
+        assert O.first_not_in(seen) == 201
+        assert PeriodicSet.empty().first_not_in(seen) is None
 
 
 def test_rank_mask_block_matches_prefix():
@@ -268,3 +290,12 @@ def test_prefix_monotone(s, m):
     p, q = s.prefix(m), s.prefix(m + 1)
     assert set(p) <= set(q)
     assert len(p) <= m
+
+
+@settings(max_examples=80, deadline=None)
+@given(periodic_sets, st.integers(0, 300), st.sets(st.integers(-400, 400)))
+def test_first_not_in_sample_matches_rank_scan(s, k, extra):
+    # The mask scan over a sample's rank bits against the rank-by-rank scan,
+    # with the first k members seen so the answer may lie past a chunk.
+    seen = set(itertools.islice(s.iter_universe_order(), k)) | extra
+    assert s.first_not_in(sample(*seen)) == s.first_not_in(seen)

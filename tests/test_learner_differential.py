@@ -1,11 +1,15 @@
-"""The stateful generators against their functional forms, step by step.
+"""The stateful learners against their functional forms, step by step.
 
 ``CriticalGenerator`` and ``ConservativePairGenerator`` escalate the prefix
 cutoff over drop points and rank masks; ``critical_generate`` and
 ``conservative_pair_generate`` recompute every cutoff from the revealed
-sample.  Every step must give the same move, or both must raise.
+sample.  ``NaiveIdentifier``, ``ProbeIdentifier`` and ``TelltaleGenerator``
+keep consistency (and probe samples) across steps; ``naive_identify``,
+``identify_with_probes`` and ``telltale_safe_generate`` start over every
+step.  Every step must give the same move, or both must raise.
 """
 
+import json
 import random
 from contextlib import contextmanager
 
@@ -15,14 +19,28 @@ from hypothesis import strategies as st
 
 from limitgames import learners
 from limitgames.adversaries import DiagonalAdversary, FairInterleaver, PositiveStream
-from limitgames.families import LanguageCollection, RevealedSet, diagonal_trap_collections
+from limitgames.cli import CATALOGUE
+from limitgames.families import (
+    CollectionError,
+    LanguageCollection,
+    RevealedSet,
+    diagonal_trap_collections,
+)
 from limitgames.fuzz import random_set
 from limitgames.learners import (
     ConservativePairGenerator,
     CriticalGenerator,
+    NaiveIdentifier,
+    ProbeIdentifier,
+    TelltaleGenerator,
     conservative_pair_generate,
     critical_generate,
+    identify_with_probes,
+    naive_identify,
+    relaxed_reference_sg,
+    telltale_safe_generate,
 )
+from limitgames.setspec import parse
 
 
 @st.composite
@@ -143,4 +161,121 @@ def test_critical_generator_matches_function_on_diagonal_trap():
         CriticalGenerator(true_coll),
         lambda r, t: critical_generate(true_coll, r, t),
         60,
+    )
+
+
+@st.composite
+def around_target(draw, max_others):
+    """A target language and a collection of supersets of it (its unions
+    with random languages, which stay consistent with its stream) and
+    random languages (which the stream may rule out), usually with the
+    target itself among them."""
+    target = draw(languages())
+    others = draw(st.lists(languages(), min_size=1, max_size=max_others))
+    unions = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+    sets = [target | o if union else o for o, union in zip(others, unions)]
+    if draw(st.integers(0, 3)):
+        sets.insert(draw(st.integers(0, len(sets))), target)
+    return target, LanguageCollection.explicit("c", sets)
+
+
+@settings(max_examples=16, deadline=None)
+@given(around_target(4), languages(), st.booleans())
+def test_naive_identifier_matches_function(game, other, fair):
+    target, coll = game
+    play(
+        FairInterleaver(target, other) if fair else PositiveStream(target),
+        NaiveIdentifier(coll),
+        lambda r, t: naive_identify(coll, r, t),
+        200,
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(around_target(4), languages(), st.booleans())
+def test_probe_identifier_matches_function(game, other, fair):
+    target, coll = game
+    play(
+        FairInterleaver(target, other) if fair else PositiveStream(target),
+        ProbeIdentifier(coll),
+        lambda r, t: identify_with_probes(coll, r, t),
+        200,
+    )
+
+
+def recording(log):
+    """The relaxed reference subroutine, logging the hypotheses and the
+    sample's events of every call."""
+
+    def sg(k_lang, h_lang, sample):
+        log.append((k_lang, h_lang, tuple(sample.events)))
+        return relaxed_reference_sg(k_lang, h_lang, sample)
+
+    return sg
+
+
+@settings(max_examples=4, deadline=None)
+@given(around_target(3))
+def test_probe_identifier_feeds_sg_what_a_fresh_probe_holds(game):
+    # The identifier extends one sample per compared pair across steps; the
+    # functional form builds each probe afresh (``_probe_one``).  Every call
+    # must see the same hypotheses and the same events, in the same order.
+    target, coll = game
+    kept, fresh = [], []
+    learner = ProbeIdentifier(coll, recording(kept))
+    adversary = PositiveStream(target)
+    revealed = RevealedSet()
+    for t in range(1, 61):
+        revealed.add(adversary.emit(t).example)
+        out = learner.step(revealed, t)
+        assert out == identify_with_probes(coll, revealed, t, recording(fresh)), t
+        assert kept == fresh, t
+        kept.clear()
+        fresh.clear()
+
+
+TELLTALE_GAME = json.loads((CATALOGUE / "telltale_bottom.json").read_text())
+
+
+def telltale_collection(name, side, decoys, tells):
+    """The ``telltale_bottom.json`` collection of ``side`` plus ``decoys``,
+    the decoy at position j declaring its first ``tells[j]`` members as its
+    telltale when that is not None; None when the telltales do not validate."""
+    spec = TELLTALE_GAME[side]
+    sets = [parse(x) for x in spec["sets"]] + decoys
+    telltales = {int(i): frozenset(xs) for i, xs in spec["telltales"].items()}
+    for j, (decoy, size) in enumerate(zip(decoys, tells), start=len(spec["sets"]) + 1):
+        if size is not None:
+            telltales[j] = frozenset(decoy.prefix(8 * size)[:size])
+    try:
+        return LanguageCollection.explicit(name, sets, telltales=telltales)
+    except CollectionError:
+        return None
+
+
+@st.composite
+def telltale_pairs(draw):
+    sides = []
+    for name, side in (("k", "true_collection"), ("h", "harm_collection")):
+        decoys = draw(st.lists(languages(), max_size=3))
+        tells = draw(st.lists(st.none() | st.integers(0, 3), min_size=3, max_size=3))
+        coll = telltale_collection(name, side, decoys, tells)
+        assume(coll is not None)
+        sides.append(coll)
+    return tuple(sides)
+
+
+@settings(max_examples=12, deadline=None)
+@given(telltale_pairs(), st.integers(0, 5), st.integers(0, 5), languages(), st.booleans())
+def test_telltale_generator_matches_function(pair, pick_true, pick_harm, other, strict):
+    # Each side streams a collection member or, when its pick points past
+    # the list, a language that may sit outside the collection.
+    true_coll, harm_coll = pair
+    true_lang = true_coll.at(pick_true + 1) if pick_true < true_coll.length else other
+    harm_lang = harm_coll.at(pick_harm + 1) if pick_harm < harm_coll.length else other
+    play(
+        FairInterleaver(true_lang, harm_lang),
+        TelltaleGenerator(true_coll, harm_coll, strict=strict),
+        lambda r, t: telltale_safe_generate(true_coll, harm_coll, r, t, strict=strict),
+        200,
     )

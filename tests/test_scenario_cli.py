@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -209,6 +210,35 @@ def test_shipped_scenarios_run(play):
             continue
         _, result, _ = play(path.name)
         assert result.verdict.converged == expected_converged[path.name], path.name
+
+
+# The sha256 of ``Trace.to_jsonl()`` of every single-game catalogue file at
+# its own horizon.  The trace bytes are a contract: a faster learner or
+# adversary must reproduce them exactly.
+TRACE_DIGESTS = {
+    "conservative_fails.json": "bc075cf082b8bdea0386cbd6a537b9e10fd1c3fa131920f6a1ee3b3159b3e6bd",
+    "generation.json": "529e3e18ff3ea47c8d8d94d669d29dc2b965cc0413c3cbe7ae9ec7ad4aa7dc85",
+    "identify_naive.json": "da8e58a8263d5a702703eedd28b4f74f359941ffcc9b71c14ce77e92763a286d",
+    "identify_probe.json": "0d694bd7aac8344c741d814e180a528142790c9f958a1f3442450334158563e5",
+    "oracle_not_enough.json": "0ef8951e86f1510a21da5c325655ba8bb5bdd632229eb8e61b03c7ce15999390",
+    "reduction_naive.json": "62266fc3f7258a9c2c091452245afb2b9af499f7c0ecfdef5ec9e6195d476b98",
+    "reduction_probe.json": "0c3b52b484aae95c946f87fbb22652bf0b9040a66e2aee508c0363e844997dcd",
+    "safe_id_impossible_eager.json": "a74a10c75b934c81ce98f2f3a5ec47cf3894a6ba93db70de9a8a5040530ebc78",
+    "safe_id_impossible_stubborn.json": "a2c2299abf22f92b5b71f2739ff51c7d8d9bcb189c7f45df8843ed6bb8c67626",
+    "sg_inf.json": "8e7f6b274ced6320acf8ce72eb4685df5a9abb6feb801bd27a33d19c9e760470",
+    "telltale_bottom.json": "3f37493463b4651692d3c6495478a9836c308c5f294e7a45b8132f63660cf903",
+}
+
+
+def test_catalogue_trace_digests(play):
+    games = sorted(
+        p.name for p in CATALOGUE.glob("*.json") if not isinstance(load_file(p), Battery)
+    )
+    assert games == sorted(TRACE_DIGESTS)
+    for file in games:
+        _, result, _ = play(file)
+        digest = hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest()
+        assert digest == TRACE_DIGESTS[file], file
 
 
 @pytest.mark.parametrize("demo", ["sg-inf", "reduction", "conservative-fails"])
