@@ -13,6 +13,7 @@ trace serializes to byte-stable JSONL and can be re-scored offline.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -22,7 +23,7 @@ from .adversaries import Adversary
 from .algebra import PeriodicSet
 from .families import LabeledExample, LanguageCollection, RevealedSet
 from .learners import Learner, LearnerOutput
-from .setspec import format_set, parse
+from .setspec import SetSpecError, format_set, parse
 
 TRACE_SCHEMA = "limitgames.trace.v1"
 VERDICT_SCHEMA = "limitgames.verdict.v1"
@@ -166,34 +167,71 @@ class Trace:
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        """Decode a trace; a malformed row raises ScenarioError naming its
+        line number and field."""
+        rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        if not rows:
             raise ScenarioError("empty trace file")
-        head = json.loads(lines[0])
-        if head.get("schema") != TRACE_SCHEMA:
-            raise ScenarioError(f"unsupported trace schema: {head.get('schema')!r}")
-        trace = Trace(
-            scenario=head["scenario"],
-            game=GameKind(head["game"]),
-            horizon=head["horizon"],
-            window=head["window"],
-        )
-        for ln in lines[1:]:
-            row = json.loads(ln)
-            pair = (parse(row["pair"][0]), parse(row["pair"][1])) if "pair" in row else None
-            trace.steps.append(
-                StepRecord(
-                    t=row["t"],
-                    element=row["element"],
-                    label=row["label"],
-                    injected=row["injected"],
-                    output=LearnerOutput(row["output"], row["value"]),
-                    correct=row["correct"],
-                    phase=row["phase"],
-                    pair=pair,  # type: ignore[arg-type]
-                )
-            )
+        trace = None
+        for n, ln in rows:
+            try:
+                row = json.loads(ln)
+                if not isinstance(row, dict):
+                    raise ScenarioError("a row must be a JSON object")
+                if trace is None:
+                    trace = _decode_head(row)
+                else:
+                    trace.steps.append(_decode_step(row))
+            except json.JSONDecodeError as exc:
+                raise ScenarioError(f"trace line {n}: not valid JSON ({exc.msg})") from None
+            except KeyError as exc:
+                raise ScenarioError(f"trace line {n}: missing field {exc.args[0]!r}") from None
+            except ScenarioError as exc:
+                raise ScenarioError(f"trace line {n}: {exc}") from None
         return trace
+
+
+_OUTPUT_KINDS = ("generate", "bottom", "index")
+# A step row's scalar fields and their types, checked exactly: a bool is an int.
+_STEP_TYPES = {"t": int, "element": int, "label": int, "injected": bool, "correct": bool, "phase": int}
+_step_fields = operator.itemgetter(*_STEP_TYPES, "output", "value")
+
+
+def _decode_head(row: dict) -> Trace:
+    if row.get("schema") != TRACE_SCHEMA:
+        raise ScenarioError(f"unsupported trace schema: {row.get('schema')!r}")
+    try:
+        game = GameKind(row["game"])
+    except ValueError:
+        raise ScenarioError(f"field 'game': unknown game {row['game']!r}") from None
+    return Trace(scenario=row["scenario"], game=game, horizon=row["horizon"], window=row["window"])
+
+
+def _decode_step(row: dict) -> StepRecord:
+    t, element, label, injected, correct, phase, kind, value = _step_fields(row)
+    if not (
+        type(t) is type(element) is type(label) is type(phase) is int
+        and type(injected) is type(correct) is bool
+    ):
+        key = next(k for k, want in _STEP_TYPES.items() if type(row[k]) is not want)
+        want = "a boolean" if _STEP_TYPES[key] is bool else "an integer"
+        raise ScenarioError(f"field {key!r} must be {want}")
+    if kind not in _OUTPUT_KINDS:
+        raise ScenarioError(f"field 'output': unknown output kind {kind!r}")
+    if (value is None) != (kind == "bottom") or value is not None and type(value) is not int:
+        raise ScenarioError(f"field 'value' must be an integer, or null for bottom, got {value!r}")
+    if kind == "index" and value < 1:
+        raise ScenarioError(f"field 'value': an index must be >= 1, got {value}")
+    pair = None
+    if "pair" in row:
+        texts = row["pair"]
+        if not (isinstance(texts, list) and len(texts) == 2 and all(isinstance(x, str) for x in texts)):
+            raise ScenarioError("field 'pair' must be a list of two set expressions")
+        try:
+            pair = (parse(texts[0]), parse(texts[1]))
+        except SetSpecError as exc:
+            raise ScenarioError(f"field 'pair': {exc}") from None
+    return StepRecord(t, element, label, injected, LearnerOutput(kind, value), correct, phase, pair)
 
 
 @dataclass

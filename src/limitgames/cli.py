@@ -68,10 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_check_algebra(args)
         if args.command == "replay":
             return _cmd_replay(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

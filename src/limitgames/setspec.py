@@ -13,6 +13,13 @@ Grammar (whitespace insensitive)::
 
 ``parse`` turns an expression into a canonical PeriodicSet and ``format_set``
 prints any PeriodicSet as a parseable expression; the round trip is exact.
+
+Cost model: the printed form (rays of one period per direction and one
+``Fin`` list, as ``format_set`` writes them and traces store them) is read
+without the grammar and costs one canonicalization over its listed points.
+Any other expression goes through the grammar, one canonicalization per atom
+and one combine per operator (see ``algebra``).  Either way the listed
+integers are read with one ``int`` call each.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ from __future__ import annotations
 import re
 
 from .algebra import (
+    _NONE,
     PeriodicSet,
+    _settle,
     all_integers,
     even_nonnegatives,
     negative_integers,
@@ -84,7 +93,7 @@ class _Parser:
         _, brace, body = tok[:-1].partition("{")
         try:
             if brace:
-                return [int(v) for v in body.split(",")] if body.strip() else []
+                return list(map(int, body.split(","))) if body.strip() else []
         except ValueError:
             pass
         raise SetSpecError(f"malformed Fin list at position {self.tokens[self.i - 1][1]}")
@@ -160,7 +169,68 @@ class _Parser:
 
 def parse(text: str) -> PeriodicSet:
     """Parse a set expression into a canonical PeriodicSet."""
-    return _Parser(text).parse()
+    printed = _parse_printed(text)
+    return printed if printed is not None else _Parser(text).parse()
+
+
+_RAY = re.compile(r"Ray\((-?\d+),(-?\d+)\)")
+
+
+def _parse_printed(text: str) -> PeriodicSet | None:
+    """The set ``text`` denotes if it has the shape ``format_set`` prints,
+    else None (and the general parser decides).
+
+    The shape is rays and at most one ``Fin`` list, joined by `` | ``.  When
+    the rays of each direction share one period, have distinct residues and
+    start within one period of each other, they are exactly that direction's
+    tail rule up to the innermost start.  With every ``Fin`` point strictly
+    between the innermost starts, the string is then one piecewise
+    description, settled once over the listed points.
+    """
+    sides: tuple[list[int], list[int]] = ([], [])  # descending, ascending starts
+    periods: tuple[set[int], set[int]] = (set(), set())
+    points: list[int] | None = None
+    try:
+        for part in text.split(" | "):
+            if part.startswith("Fin{") and part.endswith("}"):
+                body = part[4:-1]
+                # ``int`` also reads '+' and '_', which the grammar rejects.
+                if points is not None or "+" in body or "_" in body:
+                    return None
+                points = sorted(set(map(int, body.split(",")))) if body else []
+                continue
+            m = _RAY.fullmatch(part)
+            if m is None:
+                return None
+            start, step = int(m[1]), int(m[2])
+            if step == 0:
+                return None
+            sides[step > 0].append(start)
+            periods[step > 0].add(abs(step))
+    except ValueError:
+        return None
+    rules = []
+    for starts, period_set in zip(sides, periods):
+        if not starts:
+            rules.append((1, _NONE))
+            continue
+        if len(period_set) != 1:
+            return None
+        (period,) = period_set
+        residues = frozenset(x % period for x in starts)
+        if len(residues) != len(starts) or max(starts) - min(starts) >= period:
+            return None
+        rules.append((period, residues))
+    neg, pos = sides
+    points = points or []
+    # The cuts: the descending rule holds below lo, the ascending one from hi
+    # up.  A direction without rays takes its cut from the points, or else
+    # from the other cut.
+    lo = max(neg) + 1 if neg else points[0] if points else min(pos, default=0)
+    hi = min(pos) if pos else points[-1] + 1 if points else lo
+    if lo > hi or points and not (lo <= points[0] and points[-1] < hi):
+        return None
+    return _settle((lo, hi), (rules[0], (1, _NONE), rules[1]), points, frozenset(points))
 
 
 def format_set(s: PeriodicSet) -> str:

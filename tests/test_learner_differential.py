@@ -22,6 +22,7 @@ from limitgames.adversaries import DiagonalAdversary, FairInterleaver, PositiveS
 from limitgames.cli import CATALOGUE
 from limitgames.families import (
     CollectionError,
+    LabeledExample,
     LanguageCollection,
     RevealedSet,
     diagonal_trap_collections,
@@ -279,3 +280,24 @@ def test_telltale_generator_matches_function(pair, pick_true, pick_harm, other, 
         lambda r, t: telltale_safe_generate(true_coll, harm_coll, r, t, strict=strict),
         200,
     )
+
+
+def test_telltale_fallback_takes_the_harm_choice_at_the_largest_seen_rank():
+    # No telltales, so every move is the fallback.  The second harm candidate
+    # lacks 5 (rank 10), which the first has, so it drops at cutoff 10: after
+    # a harm example of rank 9 it is still the choice, and the word is 5, the
+    # first member of I outside it.  A choice at any larger cutoff gives 7.
+    true_coll = LanguageCollection.explicit("k", [parse("I")])
+    harm_coll = LanguageCollection.explicit(
+        "h", [parse("N | E | Fin{1,3,5}"), parse("N | E | Fin{1,3}")]
+    )
+    generator = TelltaleGenerator(true_coll, harm_coll)
+    revealed = RevealedSet()
+    words = []
+    for t, (x, label) in enumerate([(-4, 0), (0, 1), (-2, 0), (7, 1)], start=1):
+        revealed.add(LabeledExample(x, label))
+        out = generator.step(revealed, t)
+        assert out == telltale_safe_generate(true_coll, harm_coll, revealed, t), t
+        words.append(out.value)
+    # Step 1 considers only the first harm candidate; step 4 has seen rank 14.
+    assert words == [7, 5, 5, 9]

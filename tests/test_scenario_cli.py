@@ -168,6 +168,49 @@ def test_cli_replay_detects_tampering(tmp_path, capsys):
     assert main(["replay", str(path), str(trace_path)]) == 1
 
 
+def _without(key):
+    return lambda row: {k: v for k, v in row.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "line,edit,message",
+    [
+        (4, lambda row: json.dumps(row)[:40], "trace line 4: not valid JSON"),
+        (4, lambda row: [row], "trace line 4: a row must be a JSON object"),
+        (4, _without("element"), "trace line 4: missing field 'element'"),
+        (1, _without("game"), "trace line 1: missing field 'game'"),
+        (2, lambda row: {**row, "pair": ["Fin{1,x}", "O"]}, "trace line 2: field 'pair':"),
+        (2, lambda row: {**row, "pair": "O"}, "trace line 2: field 'pair' must be"),
+        (4, lambda row: {**row, "output": "shout"}, "trace line 4: field 'output':"),
+        (1, lambda row: {**row, "game": "chess"}, "trace line 1: field 'game':"),
+        (4, lambda row: {**row, "element": "7"}, "trace line 4: field 'element' must be"),
+        (4, lambda row: {**row, "injected": 0}, "trace line 4: field 'injected' must be"),
+        (4, lambda row: {**row, "output": "generate", "value": None}, "trace line 4: field 'value'"),
+    ],
+)
+def test_cli_replay_malformed_trace_exits_2(tmp_path, capsys, play, line, edit, message):
+    _, result, _ = play("sg_inf.json")
+    lines = result.trace.to_jsonl().splitlines()
+    edited = edit(json.loads(lines[line - 1]))
+    lines[line - 1] = edited if isinstance(edited, str) else json.dumps(edited)
+    trace_path = tmp_path / "sg-inf.trace.jsonl"
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(CATALOGUE / "sg_inf.json"), str(trace_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_cli_replay_index_below_one_exits_2(tmp_path, capsys, play):
+    _, result, _ = play("identify_naive.json")
+    lines = result.trace.to_jsonl().splitlines()
+    row = json.loads(lines[5])
+    assert row["output"] == "index"
+    lines[5] = json.dumps({**row, "value": 0})
+    trace_path = tmp_path / "identify-naive.trace.jsonl"
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(CATALOGUE / "identify_naive.json"), str(trace_path)]) == 2
+    assert "error: trace line 6: field 'value': an index must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_check_algebra(capsys):
     assert main(["check-algebra", "--seed", "7", "--count", "25"]) == 0
     assert "25 random triples" in capsys.readouterr().out

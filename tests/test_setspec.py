@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,9 +12,11 @@ from limitgames.algebra import (
     q_set,
     y_set,
 )
-from limitgames.setspec import SetSpecError, format_set, parse
+from limitgames.fuzz import random_set
+from limitgames.setspec import SetSpecError, _parse_printed, _Parser, format_set, parse
 
 from test_algebra import periodic_sets
+from test_algebra_differential import NAMED, wide_operands
 
 
 def test_atoms():
@@ -81,4 +85,126 @@ def test_format_examples():
 @settings(max_examples=150, deadline=None)
 @given(periodic_sets)
 def test_roundtrip(s):
-    assert parse(format_set(s)) == s
+    # Through the printed-form path that ``parse`` takes, and the grammar.
+    text = format_set(s)
+    assert _parse_printed(text) == s
+    assert _Parser(text).parse() == s
+
+
+# ----------------------------------------------------------------------
+# The printed-form path of ``parse``
+# ----------------------------------------------------------------------
+
+
+def test_printed_path_reads_fuzz_and_wide_sets():
+    rng = random.Random(7)
+    sets = [random_set(rng) for _ in range(2000)]
+    sets += wide_operands(1000, 3) + wide_operands(100_000, 3) + NAMED
+    for s in sets:
+        assert _parse_printed(format_set(s)) == s, s
+
+
+def grammar(text):
+    """What the general parser makes of ``text``: a set or an error message."""
+    try:
+        return _Parser(text).parse()
+    except SetSpecError as exc:
+        return str(exc)
+
+
+def assert_path_agrees(text):
+    printed = _parse_printed(text)
+    expected = grammar(text)
+    assert printed is None or printed == expected, text
+    try:
+        assert parse(text) == expected, text
+    except SetSpecError as exc:
+        assert str(exc) == expected, text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # rays out of order
+        "Ray(3,1) | Ray(-1,-1)",
+        "Ray(3,2) | Fin{0} | Ray(-2,-2)",
+        "Fin{0} | Ray(-1,-1)",
+        "Ray(5,1) | Fin{0}",
+        "Ray(-2,-2) | Ray(-1,-2) | Fin{0}",
+        # mixed periods
+        "Ray(-1,-2) | Ray(-2,-3)",
+        "Ray(4,2) | Ray(5,3)",
+        # repeated residues
+        "Ray(-1,-2) | Ray(-3,-2)",
+        "Ray(4,2) | Ray(4,2)",
+        # ray starts more than a period apart
+        "Ray(-1,-2) | Ray(-10,-2)",
+        "Fin{0} | Ray(4,3) | Ray(20,3)",
+        "Ray(0,-2) | Ray(1001,-2)",
+        # Fin points outside the cuts, and cuts out of order
+        "Ray(-1,-1) | Fin{-1,0}",
+        "Fin{0,5} | Ray(5,1)",
+        "Fin{0,7} | Ray(5,1)",
+        "Ray(2,-1) | Ray(1,1)",
+        "Ray(0,-1) | Ray(1,1)",
+        # empty and repeated Fin lists
+        "Ray(-1,-1) | Fin{} | Ray(1,1)",
+        "Fin{} | Ray(1,1)",
+        "Fin{}",
+        "Fin{1} | Fin{2}",
+        "Fin{3,1,3}",
+        # leading zeros and -0
+        "Fin{-0,007} | Ray(08,2)",
+        "Ray(-01,-1) | Fin{00}",
+        "Fin{-0}",
+        # extra spaces
+        "Ray(-1, -1) | Fin{0}",
+        "Fin{ 1, 2 } | Ray(4,2)",
+        "Fin{1}  |  Ray(4,2)",
+        " Fin{1}",
+        "Fin{1} ",
+        "Fin {1}",
+        "Fin{ }",
+        # malformed
+        "Fin{1,} | Ray(4,2)",
+        "Fin{+1}",
+        "Fin{1_0}",
+        "Fin{1}} | Ray(4,2)",
+        "Fin{1|2}",
+        "Ray(0,0)",
+        "Ray(+1,2)",
+        "Ray(1,2) |",
+        "Ray(1,2) | Ray(3,2) | E",
+        "Ray(" + "9" * 5000 + ",1)",
+    ],
+)
+def test_printed_path_near_misses_match_the_grammar(text):
+    assert_path_agrees(text)
+
+
+def test_printed_path_mutations_match_the_grammar():
+    # Edits of printed forms: shuffled, dropped and added parts, and
+    # characters inserted or deleted.
+    rng = random.Random(3)
+    for _ in range(2000):
+        parts = format_set(random_set(rng)).split(" | ")
+        edit = rng.randrange(5)
+        if edit == 0:
+            rng.shuffle(parts)
+        elif edit == 1 and len(parts) > 1:
+            parts.pop(rng.randrange(len(parts)))
+        elif edit == 2:
+            step = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+            parts.insert(rng.randrange(len(parts) + 1), f"Ray({rng.randint(-70, 70)},{step})")
+        elif edit == 3:
+            points = ",".join(str(rng.randint(-70, 70)) for _ in range(rng.randint(0, 3)))
+            parts.insert(rng.randrange(len(parts) + 1), "Fin{" + points + "}")
+        text = " | ".join(parts)
+        if edit == 4:
+            i = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                text = text[:i] + rng.choice("0-, +_{}()|") + text[i:]
+            else:
+                text = text[:i] + text[i + 1 :]
+        assert_path_agrees(text)
+
