@@ -212,7 +212,6 @@ class DiagonalAdversary:
         self._cursor_harm = 0
         self._skipped_true: deque[int] = deque()
         self._skipped_harm: deque[int] = deque()
-        self._emitted_true: set[int] = set()
         self._max_value = 0
         self._mode = "mimic"  # "mimic" | "flush" | "catchup"
         self.phase = 1
@@ -227,7 +226,10 @@ class DiagonalAdversary:
         i_true, i_harm, hole = diagonal_trap_witness(self._max_value)
         self._ref_true = self.coll_true.at(i_true)
         self._ref_harm = self.coll_harm.at(i_harm)
+        # The hole lies above every value emitted so far, so only this
+        # phase can emit it.
         self._hole = hole
+        self._hole_emitted = False
 
     def _advance_phase(self) -> None:
         self.phase += 1
@@ -259,7 +261,7 @@ class DiagonalAdversary:
         if self._mode == "flush" and not self._skipped_true and not self._skipped_harm:
             # Everything skipped has been replayed; catch the true-side master
             # up to the contradicting element unless it already went out.
-            if self._hole in self._emitted_true:
+            if self._hole_emitted:
                 self._advance_phase()
             else:
                 self._mode = "catchup"
@@ -284,10 +286,10 @@ class DiagonalAdversary:
         else:  # flush with an empty true queue, or catchup: raw master
             value = self._next_master_true()
             if self._mode == "catchup" and value == self._hole:
-                self._emitted_true.add(value)
                 self._max_value = max(self._max_value, value)
                 self._advance_phase()
-        self._emitted_true.add(value)
+        if value == self._hole:
+            self._hole_emitted = True
         return value
 
     def _emit_harm(self) -> int:

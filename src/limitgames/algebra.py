@@ -472,41 +472,70 @@ def _settle(
     pp, pr = _minimal_rule(*rules[-1])
     last = len(cuts)
 
-    # a: least point violating the negative-tail rule (None if there is none).
+    # a: least point violating the negative-tail rule (None if there is
+    # none).  Below the first listed point only the pieces decide, and no
+    # point needs passing over there, so that stretch is searched first: a
+    # violation in it needs no pass over the points.
     a = None
-    for x in points:
-        if (x in inside) != (x % np_ in nr):
-            a = x
-            break
     tail = (np_, nr)
+    first = points[0] if points else None
     for i in range(1, last + 1):
-        if a is not None and cuts[i - 1] >= a:
+        if first is not None and cuts[i - 1] >= first:
             break
         if rules[i] == tail:
             continue
         end = cuts[i] - 1 if i < last else None
-        x = _first_diff(cuts[i - 1], end, 1, rules[i], tail, points)
-        if x is not None:
-            a = x if a is None else min(a, x)
+        if first is not None and (end is None or end >= first):
+            end = first - 1
+        a = _first_diff(cuts[i - 1], end, 1, rules[i], tail, points)
+        if a is not None:
             break
+    if a is None and points:
+        for x in points:
+            if (x in inside) != (x % np_ in nr):
+                a = x
+                break
+        for i in range(1, last + 1):
+            if a is not None and cuts[i - 1] >= a:
+                break
+            end = cuts[i] - 1 if i < last else None
+            if rules[i] == tail or end is not None and end < first:
+                continue
+            x = _first_diff(max(cuts[i - 1], first), end, 1, rules[i], tail, points)
+            if x is not None:
+                a = x if a is None else min(a, x)
+                break
 
-    # b: greatest point violating the positive-tail rule.
+    # b: greatest point violating the positive-tail rule, dually.
     b = None
-    for x in reversed(points):
-        if (x in inside) != (x % pp in pr):
-            b = x
-            break
     tail = (pp, pr)
+    top = points[-1] if points else None
     for i in range(last - 1, -1, -1):
-        if b is not None and cuts[i] - 1 <= b:
+        if top is not None and cuts[i] - 1 <= top:
             break
         if rules[i] == tail:
             continue
         start = cuts[i - 1] if i else None
-        x = _first_diff(cuts[i] - 1, start, -1, rules[i], tail, points)
-        if x is not None:
-            b = x if b is None else max(b, x)
+        if top is not None and (start is None or start <= top):
+            start = top + 1
+        b = _first_diff(cuts[i] - 1, start, -1, rules[i], tail, points)
+        if b is not None:
             break
+    if b is None and points:
+        for x in reversed(points):
+            if (x in inside) != (x % pp in pr):
+                b = x
+                break
+        for i in range(last - 1, -1, -1):
+            if b is not None and cuts[i] - 1 <= b:
+                break
+            start = cuts[i - 1] if i else None
+            if rules[i] == tail or start is not None and start > top:
+                continue
+            x = _first_diff(min(cuts[i] - 1, top), start, -1, rules[i], tail, points)
+            if x is not None:
+                b = x if b is None else max(b, x)
+                break
 
     if a is not None and b is not None and a <= b:
         lo, hi = a, b

@@ -9,7 +9,7 @@ Two families of learners live here:
 * the game-facing classes.  Every one that does more than constant work a
   step is stateful: it keeps its consistent candidates as rank masks from
   step to step (``_SideTracker``), so a step costs the new examples and the
-  live candidates, not a pass over all t examples.  ``CriticalGenerator``
+  candidates they touch, not a pass over all t examples.  ``CriticalGenerator``
   and ``ConservativePairGenerator`` escalate the cutoff over drop points;
   ``NaiveIdentifier`` reads the first live candidate; ``TelltaleGenerator``
   tests telltales as rank masks; ``ProbeIdentifier`` keeps every compared
@@ -27,23 +27,31 @@ Both properties are monotone in the cutoff.  Candidate i is critical at
 cutoff m exactly when m < drop(i), where drop(i) is the rank of the first
 member of i missing from some earlier consistent candidate (dually: the
 first member of some earlier candidate that i lacks).  The stateful classes
-keep the rank mask of every consistent candidate at one shared length, so
-consistency is one mask test against the side's sampled ranks, both when a
-candidate is admitted and when new examples arrive.  They compute every
-drop point in one forward pass over the masks: the running
-AND (dually OR) of the earlier masks against each candidate's own.  The
-choice at cutoff m is the highest candidate whose drop point exceeds m; as
-m grows it only moves down, and only at drop points.  So the escalation is
-a walk down from the top candidate: emit its lowest unseen rank when that
-comes before its drop point, else jump the cutoff to the drop point, and
-lengthen the masks (doubling, up to the escalation bound) when neither lies
-within them.
+keep the rank masks of their consistent candidates at one shared length,
+each stored as its difference from the first one, the base: the base ranks
+it misses and the ranks it has beyond the base.  A candidate is admitted
+with one mask test against the side's sampled ranks.  A new example inside
+the base kills the candidates that miss it, found among those whose
+difference starts at or below its rank; one outside the base kills the
+base, which costs one rebase.  The choice at cutoff m is the highest
+candidate whose drop point exceeds it; as m grows it only moves down, and
+only at drop points.  It is found from the candidates whose difference
+starts at or below m, with the drop point read off the few that can set
+it, and only the chosen candidate's full mask is built.  The escalation is
+a walk over cutoffs: emit the choice's lowest unseen rank when that comes
+before its drop point, else jump the cutoff to the drop point, and lengthen
+the masks (doubling, up to the escalation bound) when neither lies within
+them.  On the diagonal trap almost every candidate equals the base within
+the masks, so a step there visits a few candidates, not every live one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import islice
 from math import inf
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Protocol, TypeVar
 
 from .algebra import Cardinality, PeriodicSet, universe_elem, universe_index
@@ -459,15 +467,26 @@ def _identify_by_telltale(
 # ----------------------------------------------------------------------
 
 
+def _lowest(bits: int) -> float:
+    """The lowest rank in a rank bit set; inf when it is empty."""
+    return (bits & -bits).bit_length() if bits else inf
+
+
+_INDEX = attrgetter("index")
+
+
 class _Candidate:
-    """A live candidate: its collection index, language and rank mask."""
+    """A live candidate: its collection index and language, and its rank
+    mask as a difference from its side's base (see ``_SideTracker``):
+    ``need`` and ``bad`` with their lowest ranks (inf when empty)."""
 
-    __slots__ = ("index", "lang", "mask")
+    __slots__ = ("index", "lang", "need", "bad", "lo_need", "lo_bad")
 
-    def __init__(self, index: int, lang: PeriodicSet, mask: int):
+    def __init__(self, index: int, lang: PeriodicSet):
         self.index = index
         self.lang = lang
-        self.mask = mask
+        self.need = self.bad = 0
+        self.lo_need = self.lo_bad = inf
 
 
 class _SideTracker:
@@ -478,28 +497,119 @@ class _SideTracker:
     is the critical candidate, and 0 for the harm side, whose choice is the
     dually critical one.  ``sample`` holds the ranks of the side's revealed
     elements, so a new candidate is admitted with one mask test.
+
+    Only the first live candidate, the base, keeps its mask (``base``);
+    every other one keeps the ranks where it differs from the base.  On the
+    true side ``need`` is the base ranks it misses and ``bad`` the ranks it
+    has beyond the base; on the harm side the two swap.  A candidate is then
+    critical (on the harm side, dually critical) at cutoff m exactly when
+    its ``bad`` has no rank <= m and its ``need`` holds every rank <= m
+    that the ``need`` of an earlier candidate holds.  The candidates
+    with a nonempty ``need`` (``bad``) are also kept ordered by its lowest
+    rank, so that a cutoff m or a new example of rank r reaches only those
+    whose difference starts at or below it.
     """
 
     def __init__(self, coll: LanguageCollection, label: int):
         self.coll = coll
         self.label = label
         self.live: list[_Candidate] = []
+        self.base = 0
+        # (lowest rank, index, candidate), ascending.
+        self._by_need: list[tuple[int, int, _Candidate]] = []
+        self._by_bad: list[tuple[int, int, _Candidate]] = []
+        # The last choice: (cutoff, candidate, drop point).  It stays the
+        # choice up to its drop point until a candidate is admitted or
+        # dies, or the masks grow past an infinite drop point.
+        self._last: tuple[int, _Candidate, float] | None = None
         self.sample = 0
         self.admitted = 0
         self.max_span = 1
         self.length = 0
 
-    def kill(self, new: int) -> None:
-        # The masks must already cover every rank in ``new``.
-        if new:
-            self.live = [c for c in self.live if c.mask & new == new]
+    def mask(self, c: _Candidate) -> int:
+        """The full rank mask of a live candidate."""
+        if self.label:
+            return (self.base & ~c.need) | c.bad
+        return (self.base & ~c.bad) | c.need
+
+    def _differ(self, c: _Candidate, mask: int) -> None:
+        """Set the difference of ``c``, whose full mask is ``mask``, from
+        the base, and file it in the orders."""
+        miss, extra = self.base & ~mask, mask & ~self.base
+        c.need, c.bad = (miss, extra) if self.label else (extra, miss)
+        c.lo_need, c.lo_bad = _lowest(c.need), _lowest(c.bad)
+        if c.need:
+            insort(self._by_need, (c.lo_need, c.index, c))
+        if c.bad:
+            insort(self._by_bad, (c.lo_bad, c.index, c))
+
+    def _remove(self, c: _Candidate) -> None:
+        del self.live[bisect_left(self.live, c.index, key=_INDEX)]
+        if c.need:
+            del self._by_need[bisect_left(self._by_need, (c.lo_need, c.index))]
+        if c.bad:
+            del self._by_bad[bisect_left(self._by_bad, (c.lo_bad, c.index))]
+
+    def kill(self, new: int) -> list[_Candidate]:
+        """Remove the live candidates whose masks lack a rank in ``new`` (the
+        masks must already cover every one); returns them."""
+        if not new or not self.live:
+            return []
+        if new & self.base != new:
+            # The base lacks a new rank, so it dies: rebase on the first
+            # survivor, recomputing every difference.
+            self._last = None
+            masks = [(c, self.mask(c)) for c in self.live]
+            keep = [(c, mask) for c, mask in masks if mask & new == new]
+            self.live = [c for c, _ in keep]
+            self.base = keep[0][1] if keep else 0
+            self._by_need.clear()
+            self._by_bad.clear()
+            for c, mask in keep:
+                self._differ(c, mask)
+            return [c for c, mask in masks if mask & new != new]
+        # A dead candidate misses a new rank, so its lowest miss is at most
+        # the highest new rank.
+        misses = self._by_need if self.label else self._by_bad
+        reach = bisect_left(misses, (new.bit_length() + 1,))
+        if not reach:
+            return []
+        dead = [c for _, _, c in misses[:reach] if (c.need if self.label else c.bad) & new]
+        if dead:
+            self._last = None
+            for c in dead:
+                self._remove(c)
+        return dead
 
     def grow(self, length: int) -> None:
         if length > self.length:
             old, width = self.length, length - self.length
-            for c in self.live:
-                c.mask |= c.lang.rank_mask_block(old + 1, width) << old
             self.length = length
+            if self._last is not None and self._last[2] == inf:
+                self._last = None
+            if not self.live:
+                return
+            blocks = [c.lang.rank_mask_block(old + 1, width) for c in self.live]
+            first = blocks[0]
+            self.base |= first << old
+            for c, block in zip(self.live, blocks):
+                if block == first:
+                    continue
+                miss, extra = first & ~block, block & ~first
+                need, bad = (miss, extra) if self.label else (extra, miss)
+                # The new ranks lie above the old ones, so a lowest rank
+                # changes only when the difference was empty.
+                if need:
+                    if not c.need:
+                        c.lo_need = old + _lowest(need)
+                        insort(self._by_need, (c.lo_need, c.index, c))
+                    c.need |= need << old
+                if bad:
+                    if not c.bad:
+                        c.lo_bad = old + _lowest(bad)
+                        insort(self._by_bad, (c.lo_bad, c.index, c))
+                    c.bad |= bad << old
 
     def admit(self, upto: int) -> None:
         # The masks must already cover every sampled rank.
@@ -509,39 +619,74 @@ class _SideTracker:
             self.max_span = max(self.max_span, lang.span())
             mask = lang.rank_mask_block(1, self.length)
             if self.sample & ~mask == 0:
-                self.live.append(_Candidate(self.admitted, lang, mask))
+                c = _Candidate(self.admitted, lang)
+                if self.live:
+                    self._differ(c, mask)
+                else:
+                    self.base = mask
+                self.live.append(c)
+                self._last = None
 
-    def drops(self) -> list[float]:
-        """The drop point of every live candidate, in one pass: the least
-        cutoff at which it stops being this side's choice (inf when that
-        lies beyond the masks).
+    def choice(self, m: int) -> tuple[_Candidate, float] | None:
+        """The side's choice at cutoff ``m`` (within the masks), the highest
+        live candidate critical (dually critical) at ``m``, with its drop
+        point: the least cutoff at which it stops being critical, inf when
+        that lies beyond the masks.  None when nothing is alive.
 
-        True side: the first rank in its mask missing from some earlier
-        mask.  Harm side: the first rank in some earlier mask missing from
-        its own.  The first candidate never drops.
+        Call a candidate active when its ``need`` has a rank <= m, and let
+        q be the first active one.  A candidate above q must need those
+        ranks too, so it is active itself; below q, only ``bad`` matters.
+
+        The drop point is the lowest rank of the choice's own ``bad``, or of
+        an earlier candidate's ``need`` that the choice's ``need`` lacks.
+        The active ones are at hand; the others are found by walking the
+        earlier candidates and the rest of the ``need`` order side by side.
+        Either walk, once complete, has seen every ``need`` that can lower
+        the answer: the order is complete at its first entry starting at or
+        above the answer so far.
         """
-        out: list[float] = []
-        if self.label:
-            acc = -1
-            for c in self.live:
-                acc &= c.mask
-                d = c.mask ^ acc
-                out.append((d & -d).bit_length() if d else inf)
-        else:
-            acc = 0
-            for c in self.live:
-                acc |= c.mask
-                d = acc ^ c.mask
-                out.append((d & -d).bit_length() if d else inf)
-        return out
-
-    def choice(self, m: int) -> _Candidate | None:
-        """The side's choice at cutoff ``m`` (within the masks): the highest
-        live candidate whose drop point exceeds it."""
-        for c, drop in zip(reversed(self.live), reversed(self.drops())):
-            if drop > m:
-                return c
-        return None
+        live = self.live
+        if not live:
+            return None
+        last = self._last
+        if last is not None and last[0] <= m < last[2]:
+            return last[1], last[2]
+        reach = bisect_left(self._by_need, (m + 1,))
+        best, before = None, 0
+        if reach:
+            low = (1 << m) - 1
+            active = sorted(self._by_need[:reach], key=itemgetter(1))
+            union = 0  # the needs of the active ones so far
+            for _, _, c in active:
+                if c.lo_bad > m and union & ~c.need & low == 0:
+                    best, before = c, union
+                union |= c.need
+        if best is None:
+            # Below the first active one only ``bad`` matters; the base has
+            # no ``bad`` ranks, so this ends.
+            i = bisect_left(live, active[0][1], key=_INDEX) if reach else len(live)
+            while True:
+                i -= 1
+                if live[i].lo_bad > m:
+                    best = live[i]
+                    break
+        need = best.need
+        drop = best.lo_bad
+        if before:
+            drop = min(drop, _lowest(before & ~need))
+        rest = islice(self._by_need, reach, None)
+        for direct in live:
+            if direct is best:
+                break
+            if m < direct.lo_need < drop:
+                drop = min(drop, _lowest(direct.need & ~need))
+            entry = next(rest, None)
+            if entry is None or entry[0] >= drop:
+                break
+            if entry[1] < best.index:
+                drop = min(drop, _lowest(entry[2].need & ~need))
+        self._last = (m, best, drop)
+        return best, drop
 
 
 class _DropWalker:
@@ -554,8 +699,9 @@ class _DropWalker:
         self._consumed = 0
         self._max_rank = 1
 
-    def _observe(self, revealed: RevealedSet, t: int) -> None:
-        """Take in the new events: grow the masks, kill, admit."""
+    def _observe(self, revealed: RevealedSet, t: int) -> list[_Candidate]:
+        """Take in the new events: grow the masks, kill, admit.  Returns
+        the candidates that died."""
         new = [0, 0]  # the new ranks of each label, as bit sets
         for ex in revealed.events[self._consumed :]:
             rank = universe_index(ex.element)
@@ -566,44 +712,42 @@ class _DropWalker:
         length = self._sides[0].length
         if self._max_rank > length:
             length = max(self._max_rank, 2 * length, 64)
+        dead: list[_Candidate] = []
         for side in self._sides:
             side.grow(length)
-            side.kill(new[side.label])
+            dead.extend(side.kill(new[side.label]))
             side.sample |= new[side.label]
             side.admit(side.coll.candidate_count(t))
+        return dead
 
-    def _walk(self, m: int, bound: int, seen: int) -> tuple[int | None, int, int | None]:
+    def _walk(
+        self, m: int, bound: int, seen: int
+    ) -> tuple[int | None, _Candidate, _Candidate | None]:
         """Escalate the cutoff from ``m`` over drop points, as the module
         docstring describes, emitting no rank set in ``seen``.  Returns the
         rank to emit (None when the walk passes ``bound`` first) with the
-        true and harm positions chosen at that cutoff (harm None when no
+        true and harm candidates chosen at that cutoff (harm None when no
         harm candidate is alive).  The true side must have a live candidate.
         """
-        true, harm = self._sides[0], self._sides[1] if len(self._sides) > 1 else None
-        drops = [side.drops() for side in self._sides]
-        ki = len(true.live) - 1
-        hi = len(harm.live) - 1 if harm is not None else -1
+        true = self._sides[0]
+        harm = self._sides[1] if len(self._sides) > 1 and self._sides[1].live else None
         while True:
-            while drops[0][ki] <= m:
-                ki -= 1
-            avail = true.live[ki].mask & ~seen
-            drop = drops[0][ki]
-            if hi >= 0:
-                while drops[1][hi] <= m:
-                    hi -= 1
-                avail &= ~harm.live[hi].mask
-                drop = min(drop, drops[1][hi])
-            rank = (avail & -avail).bit_length() if avail else inf
+            kc, drop = true.choice(m)
+            avail = true.mask(kc) & ~seen
+            hc = None
+            if harm is not None:
+                hc, harm_drop = harm.choice(m)
+                avail &= ~harm.mask(hc)
+                drop = min(drop, harm_drop)
+            rank = _lowest(avail)
             first = min(rank, drop)
             if first == inf and true.length < bound:
                 length = min(2 * true.length, bound)
                 for side in self._sides:
                     side.grow(length)
-                drops = [side.drops() for side in self._sides]
                 continue
             if first > bound or rank < drop:
-                emit = rank if first <= bound else None
-                return emit, ki, (hi if hi >= 0 else None)
+                return (rank if first <= bound else None), kc, hc
             m = drop
 
 
@@ -682,9 +826,9 @@ class ConservativePairGenerator(_DropWalker):
             return LearnerOutput.generate(universe_elem(1))
         span = max(true.max_span, harm.max_span)
         bound = _escalation_bound(self._max_rank, t, [span])
-        rank, ki, hi = self._walk(self._max_rank, bound, revealed.ranks)
-        kc = true.live[ki].index
-        hc = harm.live[hi].index if hi is not None else None
+        rank, k_cand, h_cand = self._walk(self._max_rank, bound, revealed.ranks)
+        kc = k_cand.index
+        hc = h_cand.index if h_cand is not None else None
         if rank is not None:
             self.choice_log.append(ChoiceRecord(t, kc, hc, None, "generate"))
             return LearnerOutput.generate(universe_elem(rank))
@@ -708,7 +852,8 @@ class ProbeIdentifier(_DropWalker):
     Keeps the live candidates by masks, each live language's members in
     universe order, and each compared pair's probe sample, one word per
     side longer every step; outputs and subroutine calls match
-    :func:`identify_with_probes` step for step.
+    :func:`identify_with_probes` step for step.  Kills are permanent, so
+    the members and probes of a dead candidate are dropped.
     """
 
     def __init__(self, coll: LanguageCollection, sg: SgSubroutine | None = None):
@@ -742,7 +887,15 @@ class ProbeIdentifier(_DropWalker):
         return _sg_hits(left.lang, right.lang, probe, self.sg)
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
-        self._observe(revealed, t)
+        dead = {c.index for c in self._observe(revealed, t)}
+        if dead:
+            for i in dead:
+                self._members.pop(i, None)
+            self._probes = {
+                key: probe
+                for key, probe in self._probes.items()
+                if key[0] not in dead and key[1] not in dead
+            }
         live = self._sides[0].live
         if not live:
             return LearnerOutput.index(1)
@@ -813,11 +966,11 @@ class TelltaleGenerator(_DropWalker):
         if k_hat is not None and h_hat is not None:
             return reference_safe_generate(k_hat.lang, h_hat.lang, revealed, strict=self.strict)
         true, harm = self._sides
-        kc = true.choice(self._max_rank)
-        if kc is None:
+        if not true.live:
             return LearnerOutput.generate(universe_elem(1))
-        hc = harm.choice(self._max_rank)
-        diff = kc.lang - (hc.lang if hc is not None else PeriodicSet.empty())
+        kc, _ = true.choice(self._max_rank)
+        harm_lang = harm.choice(self._max_rank)[0].lang if harm.live else PeriodicSet.empty()
+        diff = kc.lang - harm_lang
         word = diff.first_not_in(revealed)
         if word is None:
             word = kc.lang.first_not_in(revealed)

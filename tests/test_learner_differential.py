@@ -6,12 +6,15 @@ cutoff over drop points and rank masks; ``critical_generate`` and
 sample.  ``NaiveIdentifier``, ``ProbeIdentifier`` and ``TelltaleGenerator``
 keep consistency (and probe samples) across steps; ``naive_identify``,
 ``identify_with_probes`` and ``telltale_safe_generate`` start over every
-step.  Every step must give the same move, or both must raise.
+step.  Every step must give the same move, or both must raise.  The side
+trackers under them are checked on their own against the definition of
+criticality over random rank masks.
 """
 
 import json
 import random
 from contextlib import contextmanager
+from math import inf
 
 import pytest
 from hypothesis import assume, given, settings
@@ -301,3 +304,158 @@ def test_telltale_fallback_takes_the_harm_choice_at_the_largest_seen_rank():
         words.append(out.value)
     # Step 1 considers only the first harm candidate; step 4 has seen rank 14.
     assert words == [7, 5, 5, 9]
+
+
+MAX_RANK = 40
+
+
+class MaskLanguage:
+    """A stand-in language for a side tracker: the ranks set in ``bits``
+    (bit r - 1 for rank r) and nothing beyond them."""
+
+    def __init__(self, bits):
+        self.bits = bits
+
+    def rank_mask_block(self, start, width):
+        return (self.bits >> (start - 1)) & ((1 << width) - 1)
+
+    def span(self):
+        return 1
+
+
+class MaskCollection:
+    def __init__(self, masks):
+        self.langs = [MaskLanguage(bits) for bits in masks]
+
+    def at(self, i):
+        return self.langs[i - 1]
+
+
+@st.composite
+def rank_masks(draw):
+    """1 to 24 rank masks over ranks 1..MAX_RANK.  Each is a random mask or
+    the first one with a few ranks flipped, so that the differences from
+    the base range from sparse to dense."""
+    first = draw(st.integers(0, 2**MAX_RANK - 1))
+    masks = [first]
+    for _ in range(draw(st.integers(0, 23))):
+        if draw(st.booleans()):
+            masks.append(draw(st.integers(0, 2**MAX_RANK - 1)))
+        else:
+            flips = draw(st.lists(st.integers(0, MAX_RANK - 1), max_size=3))
+            masks.append(first ^ sum(1 << r for r in set(flips)))
+    return masks
+
+
+tracker_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("admit"), st.integers(1, 24)),
+        st.tuples(st.just("grow"), st.integers(1, MAX_RANK // 2)),
+        # A rank of the masks: any one, one the base lacks (which kills the
+        # base and forces a rebase), or one the base has and some live
+        # candidate lacks.
+        st.tuples(st.just("kill"), st.integers(0, 10**6), st.sampled_from(["any", "out", "in"])),
+    ),
+    max_size=40,
+)
+
+
+def expected_choices(masks, label, length):
+    """Per cutoff m from 1 to ``length``, the position of the side's choice
+    among ``masks``, by the definition: the last mask whose m-prefix is in
+    the prefix-AND of the earlier m-prefixes (dually, contains their
+    prefix-OR)."""
+    out = {}
+    for m in range(1, length + 1):
+        low = (1 << m) - 1
+        acc = -1 if label else 0
+        for p, mask in enumerate(masks):
+            mask &= low
+            if (mask & ~acc if label else acc & ~mask) == 0:
+                out[m] = p
+            acc = acc & mask if label else acc | mask
+    return out
+
+
+def expected_drop(masks, p, label):
+    """The least cutoff at which position p is no longer the choice material
+    of its side: the lowest rank of its mask missing from an earlier mask
+    (dually, of an earlier mask missing from its own); inf if none."""
+    acc = -1 if label else 0
+    for mask in masks[:p]:
+        acc = acc & mask if label else acc | mask
+    diff = masks[p] & ~acc if label else acc & ~masks[p]
+    return (diff & -diff).bit_length() if diff else inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_masks(), tracker_ops, st.integers(1, MAX_RANK // 2), st.sampled_from([0, 1]))
+def test_side_tracker_matches_definition(masks, ops, initial, label):
+    # The tracker keeps its candidates as differences from the first live
+    # one; after every admission, growth and kill, its live list, its full
+    # masks, and its choice and drop point at every cutoff (asked in rising
+    # order, which reuses the last choice, and in falling order, which
+    # recomputes it) must match the definition over the full masks.
+    coll = MaskCollection(masks)
+    tracker = learners._SideTracker(coll, label)
+    tracker.grow(initial)
+    length, sample, admitted = initial, 0, 0
+    for op in [("admit", 1), *ops]:
+        if op[0] == "admit":
+            admitted = min(len(masks), admitted + op[1])
+            tracker.admit(admitted)
+        elif op[0] == "grow":
+            length += op[1]
+            tracker.grow(length)
+        else:
+            full = (1 << length) - 1
+            live = [m & full for m in masks[:admitted] if sample & ~m == 0]
+            base = live[0] if live else full
+            missed = 0
+            for m in live:
+                missed |= base & ~m
+            pick = {"any": full, "out": full & ~base, "in": missed}[op[2]] or full
+            ranks = [r for r in range(1, length + 1) if pick >> (r - 1) & 1]
+            rank = ranks[op[1] % len(ranks)]
+            before = [c.index for c in tracker.live]
+            dead = tracker.kill(1 << (rank - 1))
+            tracker.sample |= 1 << (rank - 1)
+            sample |= 1 << (rank - 1)
+            alive = {c.index for c in tracker.live}
+            assert sorted(c.index for c in dead) == [i for i in before if i not in alive]
+        full = (1 << length) - 1
+        live = [i for i in range(1, admitted + 1) if sample & ~masks[i - 1] == 0]
+        assert [c.index for c in tracker.live] == live
+        live_masks = [masks[i - 1] & full for i in live]
+        assert [tracker.mask(c) for c in tracker.live] == live_masks
+        if not live:
+            assert tracker.choice(1) is None
+            continue
+        choices = expected_choices(live_masks, label, length)
+        for m in [*range(1, length + 1), *range(length, 0, -1)]:
+            chosen, drop = tracker.choice(m)
+            assert chosen.index == live[choices[m]], (m, label)
+            assert drop == expected_drop(live_masks, choices[m], label), (m, label)
+
+
+def test_probe_identifier_forgets_dead_candidates():
+    # The first candidate holds the first two words of E's stream, 0 and 2,
+    # and is compared with the second at step 2; it dies at the third word,
+    # 4, and from then on no probe or member list names it.
+    coll = LanguageCollection.explicit(
+        "c", [parse("Fin{0, 2} | Ray(6, 2)"), parse("I"), parse("N"), parse("E")]
+    )
+    learner = ProbeIdentifier(coll)
+    adversary = PositiveStream(parse("E"))
+    revealed = RevealedSet()
+    for t in range(1, 9):
+        revealed.add(adversary.emit(t).example)
+        out = learner.step(revealed, t)
+        assert out == identify_with_probes(coll, revealed, t), t
+        live = {c.index for c in learner._sides[0].live}
+        if t == 2:
+            assert live == {1, 2} and (1, 2) in learner._probes and 1 in learner._members
+        if t >= 3:
+            assert 1 not in live
+        assert all(i in live for key in learner._probes for i in key), t
+        assert set(learner._members) <= live, t
