@@ -21,6 +21,13 @@ so finding rank r costs O(log r) masks.  ``prefix``, ``iter_universe_order``
 and ``first_not_in`` over a predicate or a plain container still test one
 rank at a time.
 
+The lcm of the tail periods is bounded: no operation builds a rule whose
+period, or the lcm of two periods it compares or combines, exceeds
+``MAX_PERIOD``.  Each operation checks this before the work that grows with
+the period and raises ``PeriodLimitError`` instead, so a 30-character
+expression such as ``Ray(0,100003) | Ray(0,100019)`` fails at once rather
+than canonicalizing over an lcm of about 10**10.
+
 The universe is enumerated in zigzag order 0, 1, -1, 2, -2, ...;
 ``universe_elem`` and ``universe_index`` convert between 1-based ranks and
 integers.
@@ -31,10 +38,27 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from math import inf, lcm
 from typing import Callable, Container, Iterable, Iterator, Protocol, Sequence
+
+
+# The largest tail period, or lcm of two periods, an operation may build.
+MAX_PERIOD = 1 << 16
+
+
+class PeriodLimitError(ValueError):
+    """Raised when an operation would build a period above ``MAX_PERIOD``."""
+
+
+def _check_period(period: int) -> int:
+    if period > MAX_PERIOD:
+        raise PeriodLimitError(
+            f"a tail period (or lcm of two) of {period} exceeds the limit "
+            f"MAX_PERIOD = {MAX_PERIOD}"
+        )
+    return period
 
 
 def universe_elem(rank: int) -> int:
@@ -155,6 +179,7 @@ class PeriodicSet:
         )
 
     @staticmethod
+    @cache
     def empty() -> "PeriodicSet":
         return PeriodicSet.build(1, (), 0, 0, (), 1, ())
 
@@ -398,7 +423,7 @@ def _lift(residues: frozenset[int], period: int, to: int) -> frozenset[int]:
 
 
 def _negate(period: int, residues: frozenset[int]) -> Rule:
-    return period, frozenset(range(period)) - residues
+    return period, frozenset(range(_check_period(period))) - residues
 
 
 def _rule_at(s: PeriodicSet, x: int) -> Rule:
@@ -417,7 +442,7 @@ def _first_diff(
     moving by ``step`` (1 or -1) and passing over the sorted list ``skip``,
     where ``rule`` and ``tail`` disagree; None if there is no such x."""
     (p1, r1), (p2, r2) = rule, tail
-    period = lcm(p1, p2)
+    period = _check_period(lcm(p1, p2))
     offsets = [
         d
         for d in range(0, period * step, step)
@@ -468,6 +493,8 @@ def _settle(
     window is placed at the unique tightest position, so equal sets get
     identical field tuples.
     """
+    _check_period(rules[0][0])
+    _check_period(rules[-1][0])
     np_, nr = _minimal_rule(*rules[0])
     pp, pr = _minimal_rule(*rules[-1])
     last = len(cuts)
@@ -581,10 +608,22 @@ def _combine(
         if pa == pb:
             rules.append((pa, op(ra, rb)))
         else:
-            period = lcm(pa, pb)
+            period = _check_period(lcm(pa, pb))
             rules.append((period, op(_lift(ra, pa, period), _lift(rb, pb, period))))
     points = sorted(a.window | b.window)
     return _settle(cuts, rules, points, op(_members_at(a, points), _members_at(b, points)))
+
+
+# One memo of pair differences (true minus harm) for a whole game: the
+# scorer (``arena.score_step``, ``arena.judge``), ``reference_safe_generate``
+# (so the probes of ``ProbeIdentifier``), ``TelltaleGenerator`` and
+# ``ConservativePairGenerator`` all ask for the differences of the same few
+# pairs step after step.  A repeated pair returns the same instance, with its
+# ``_pieces`` already built.  ``arena.run_game`` and ``arena.rescore_trace``
+# clear it when they start, so it holds one game's pairs, not a battery's.
+@lru_cache(maxsize=None)
+def difference(true_lang: PeriodicSet, harm_lang: PeriodicSet) -> PeriodicSet:
+    return true_lang - harm_lang
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,10 @@ import json
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 from .adversaries import Adversary
-from .algebra import PeriodicSet
+from .algebra import PeriodicSet, difference
 from .families import LabeledExample, LanguageCollection, RevealedSet
 from .learners import Learner, LearnerOutput
 from .setspec import SetSpecError, format_set, parse
@@ -39,13 +38,6 @@ class GameKind(str, Enum):
 
 class ScenarioError(ValueError):
     """Raised when a scenario fails validation before step 1."""
-
-
-# Memo of committed-pair differences; run_game and rescore_trace clear it
-# when they start, so it holds one game's pairs, not a whole battery's.
-@lru_cache(maxsize=None)
-def _difference(true_lang: PeriodicSet, harm_lang: PeriodicSet) -> PeriodicSet:
-    return true_lang - harm_lang
 
 
 def score_step(
@@ -69,19 +61,19 @@ def score_step(
             w = output.value
             return w in true_lang and w not in harm_lang and not seen.contains(w)
         if output.is_bottom:
-            return _difference(true_lang, harm_lang).cardinality().is_bounded
+            return difference(true_lang, harm_lang).cardinality().is_bounded
         return False
     if kind is GameKind.SG_RELAXED:
         if output.is_generate:
             w = output.value
-            if _difference(true_lang, harm_lang).cardinality().is_bounded:
+            if difference(true_lang, harm_lang).cardinality().is_bounded:
                 return True
             return w in true_lang and w not in harm_lang and not seen.contains(w)
         return False
     if kind is GameKind.SI:
         if not output.is_index or true_coll is None:
             return False
-        return true_coll.at(output.value) == _difference(true_lang, harm_lang)
+        return true_coll.at(output.value) == difference(true_lang, harm_lang)
     if kind is GameKind.LI:
         if not output.is_index or true_coll is None:
             return False
@@ -285,7 +277,7 @@ class RunResult:
 def run_game(spec: ScenarioSpec) -> RunResult:
     """Play the game to the horizon and judge the trailing window."""
     spec.validate()
-    _difference.cache_clear()
+    difference.cache_clear()
     adversary = spec.adversary_factory()
     learner = spec.learner_factory()
     revealed = RevealedSet()
@@ -335,7 +327,7 @@ def judge(trace: Trace, adversary: Adversary, spec: ScenarioSpec) -> Verdict:
     if spec.game in (GameKind.SI, GameKind.LI) and spec.true_coll is not None:
         true_lang, harm_lang = adversary.current_pair()
         target = (
-            _difference(true_lang, harm_lang) if spec.game is GameKind.SI else true_lang
+            difference(true_lang, harm_lang) if spec.game is GameKind.SI else true_lang
         )
         for i in range(1, spec.true_coll.candidate_count(spec.horizon) + 1):
             if spec.true_coll.at(i) == target:
@@ -356,7 +348,7 @@ def rescore_trace(
     trace: Trace, true_coll: LanguageCollection | None = None
 ) -> list[bool]:
     """Recompute per-step correctness of a stored trace from its own records."""
-    _difference.cache_clear()
+    difference.cache_clear()
     revealed = RevealedSet()
     pair: tuple[PeriodicSet, PeriodicSet] | None = None
     out: list[bool] = []

@@ -19,6 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .algebra import PeriodLimitError
 from .arena import (
     RunResult,
     ScenarioError,
@@ -68,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_check_algebra(args)
         if args.command == "replay":
             return _cmd_replay(args)
-    except (ScenarioError, OSError, UnicodeDecodeError) as exc:
+    except (ScenarioError, PeriodLimitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -39,10 +39,14 @@ only at drop points.  It is found from the candidates whose difference
 starts at or below m, with the drop point read off the few that can set
 it, and only the chosen candidate's full mask is built.  The escalation is
 a walk over cutoffs: emit the choice's lowest unseen rank when that comes
-before its drop point, else jump the cutoff to the drop point, and lengthen
-the masks (doubling, up to the escalation bound) when neither lies within
-them.  On the diagonal trap almost every candidate equals the base within
-the masks, so a step there visits a few candidates, not every live one.
+before its drop point, else jump the cutoff to the drop point, and double
+the masks' length when neither lies within them.  The doubling may take the
+masks past the escalation bound, to less than twice it; the walk compares
+every rank and drop point with the bound, so what lies beyond it is never
+emitted.  A game whose chosen difference stays empty (the bound rising with
+t) then lengthens its masks about log t times, not every step.  On the
+diagonal trap almost every candidate equals the base within the masks, so
+a step there visits a few candidates, not every live one.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from math import inf
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Protocol, TypeVar
 
-from .algebra import Cardinality, PeriodicSet, universe_elem, universe_index
+from .algebra import Cardinality, PeriodicSet, difference, universe_elem, universe_index
 from .families import (
     LabeledExample,
     LanguageCollection,
@@ -128,7 +132,7 @@ def reference_safe_generate(
     Infinite difference: emit its first unseen element.  Otherwise emit
     bottom (strict mode) or an arbitrary fixed word (relaxed mode).
     """
-    diff = true_hyp - harm_hyp
+    diff = difference(true_hyp, harm_hyp)
     if diff.cardinality().is_infinite:
         word = diff.first_not_in(revealed)
         if word is None:
@@ -223,6 +227,7 @@ def conservative_pair_generate(
     t: int,
     *,
     strict: bool = True,
+    log: list[ChoiceRecord] | None = None,
 ) -> LearnerOutput:
     """Smallest consistent true candidate versus largest consistent harm one.
 
@@ -230,10 +235,15 @@ def conservative_pair_generate(
     finds an unseen element of the chosen difference.  Without the promise
     the chosen difference can be empty; the search then exhausts its bound
     and the learner gives up with bottom (or an arbitrary word when relaxed).
+    ``log``, when given, receives the step's record, as the ``choice_log``
+    of ``ConservativePairGenerator`` does.  It exists only so differential
+    tests can compare the two logs, and selects no behaviour.
     """
     cons_k = consistent_indices(coll_true, revealed, t, "true")
     cons_h = consistent_indices(coll_harm, revealed, t, "harm")
+    record = log.append if log is not None else lambda rec: None
     if not cons_k:
+        record(ChoiceRecord(t, None, None, None, "generate"))
         return LearnerOutput.generate(universe_elem(1))
     seen = revealed.pos | revealed.neg
     spans = [coll_true.at(i).span() for i in cons_k] + [
@@ -250,6 +260,7 @@ def conservative_pair_generate(
         for rank in range(1, m + 1):
             x = universe_elem(rank)
             if x in k_lang and (h_lang is None or x not in h_lang) and x not in seen:
+                record(ChoiceRecord(t, kc, hc, None, "generate"))
                 return LearnerOutput.generate(x)
         m += 1
     if kc is None:
@@ -259,6 +270,7 @@ def conservative_pair_generate(
     )
     if diff.cardinality().is_infinite:
         raise RuntimeError("escalation bound hit while the difference is infinite")
+    record(ChoiceRecord(t, kc, hc, diff.cardinality(), "give_up"))
     return LearnerOutput.bottom() if strict else LearnerOutput.generate(universe_elem(1))
 
 
@@ -728,6 +740,11 @@ class _DropWalker:
         rank to emit (None when the walk passes ``bound`` first) with the
         true and harm candidates chosen at that cutoff (harm None when no
         harm candidate is alive).  The true side must have a live candidate.
+
+        When neither lies within the masks, their length doubles, even past
+        ``bound`` (to less than twice it): ranks and drop points beyond the
+        bound are read and refused like any other, and the longer masks
+        serve the later steps, whose bound is higher.
         """
         true = self._sides[0]
         harm = self._sides[1] if len(self._sides) > 1 and self._sides[1].live else None
@@ -742,7 +759,7 @@ class _DropWalker:
             rank = _lowest(avail)
             first = min(rank, drop)
             if first == inf and true.length < bound:
-                length = min(2 * true.length, bound)
+                length = 2 * true.length
                 for side in self._sides:
                     side.grow(length)
                 continue
@@ -806,17 +823,7 @@ class ConservativePairGenerator(_DropWalker):
         self.coll_true = coll_true
         self.coll_harm = coll_harm
         self.strict = strict
-        self._diff_cache: dict[tuple[int, int | None], Cardinality] = {}
         self.choice_log: list[ChoiceRecord] = []
-
-    def _diff_cardinality(self, kc: int, hc: int | None) -> Cardinality:
-        key = (kc, hc)
-        card = self._diff_cache.get(key)
-        if card is None:
-            harm = self.coll_harm.at(hc) if hc is not None else PeriodicSet.empty()
-            card = (self.coll_true.at(kc) - harm).cardinality()
-            self._diff_cache[key] = card
-        return card
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
         self._observe(revealed, t)
@@ -832,7 +839,8 @@ class ConservativePairGenerator(_DropWalker):
         if rank is not None:
             self.choice_log.append(ChoiceRecord(t, kc, hc, None, "generate"))
             return LearnerOutput.generate(universe_elem(rank))
-        card = self._diff_cardinality(kc, hc)
+        harm_lang = h_cand.lang if h_cand is not None else PeriodicSet.empty()
+        card = difference(k_cand.lang, harm_lang).cardinality()
         if card.is_infinite:
             raise RuntimeError("escalation bound hit while the difference is infinite")
         self.choice_log.append(ChoiceRecord(t, kc, hc, card, "give_up"))
@@ -970,8 +978,7 @@ class TelltaleGenerator(_DropWalker):
             return LearnerOutput.generate(universe_elem(1))
         kc, _ = true.choice(self._max_rank)
         harm_lang = harm.choice(self._max_rank)[0].lang if harm.live else PeriodicSet.empty()
-        diff = kc.lang - harm_lang
-        word = diff.first_not_in(revealed)
+        word = difference(kc.lang, harm_lang).first_not_in(revealed)
         if word is None:
             word = kc.lang.first_not_in(revealed)
             if word is None:

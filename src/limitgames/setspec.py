@@ -29,6 +29,7 @@ import re
 from .algebra import (
     _NONE,
     PeriodicSet,
+    PeriodLimitError,
     _settle,
     all_integers,
     even_nonnegatives,
@@ -168,9 +169,14 @@ class _Parser:
 
 
 def parse(text: str) -> PeriodicSet:
-    """Parse a set expression into a canonical PeriodicSet."""
-    printed = _parse_printed(text)
-    return printed if printed is not None else _Parser(text).parse()
+    """Parse a set expression into a canonical PeriodicSet.  An expression
+    that needs a tail period, or an lcm of two, above ``algebra.MAX_PERIOD``
+    is malformed."""
+    try:
+        printed = _parse_printed(text)
+        return printed if printed is not None else _Parser(text).parse()
+    except PeriodLimitError as exc:
+        raise SetSpecError(str(exc)) from None
 
 
 _RAY = re.compile(r"Ray\((-?\d+),(-?\d+)\)")

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitgames.algebra import (
+    MAX_PERIOD,
     Cardinality,
     PeriodicSet,
+    PeriodLimitError,
     all_integers,
     even_nonnegatives,
     naturals,
@@ -199,6 +201,25 @@ def test_membership_range_matches_contains():
     for lang in (q_set(2), y_set(4), PeriodicSet.ray(-5, -3), PeriodicSet.finite({0})):
         got = lang.membership_range(-40, 40)
         assert got == [x in lang for x in range(-40, 41)]
+
+
+def test_period_limit():
+    # Each operation checks the period, or the lcm, before the work that
+    # grows with it: canonicalizing one tail, combining two, comparing a
+    # piece's rule with a tail, and negating a tail.
+    with pytest.raises(PeriodLimitError, match="MAX_PERIOD"):
+        PeriodicSet.ray(0, MAX_PERIOD + 1)
+    with pytest.raises(PeriodLimitError, match="90300"):
+        PeriodicSet.ray(0, 300) | PeriodicSet.ray(0, 301)
+    with pytest.raises(PeriodLimitError, match="90300"):
+        PeriodicSet.ray(-1, -300) | PeriodicSet.ray(0, 301)
+    raw = PeriodicSet(10**9, frozenset({0}), 0, 0, frozenset(), 1, frozenset())
+    with pytest.raises(PeriodLimitError):
+        raw.complement()
+    # At the limit the operations still run.
+    s = PeriodicSet.ray(0, 256) | PeriodicSet.ray(0, 255)
+    assert s.pos_period == 256 * 255 <= MAX_PERIOD and 510 in s and 511 not in s
+    assert s.complement().complement() == s
 
 
 def test_build_validates():

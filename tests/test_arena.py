@@ -5,6 +5,7 @@ import pytest
 from limitgames.adversaries import FairInterleaver
 from limitgames.algebra import (
     all_integers,
+    difference,
     even_nonnegatives,
     negative_integers,
     odd_positives,
@@ -16,7 +17,6 @@ from limitgames.arena import (
     ScenarioError,
     ScenarioSpec,
     Trace,
-    _difference,
     rescore_trace,
     run_game,
     score_against_pair,
@@ -178,7 +178,7 @@ def test_difference_memo_holds_only_the_latest_game():
     for pair in ((I, y_set(0)), (O, E)):
         adversary = partial(FairInterleaver, *pair)
         run_game(ScenarioSpec("si", GameKind.SI, adversary, StubbornIdentifier, 20, 5, coll))
-    info = _difference.cache_info()
+    info = difference.cache_info()
     assert info.currsize == 1
-    _difference(O, E)
-    assert _difference.cache_info().hits == info.hits + 1
+    difference(O, E)
+    assert difference.cache_info().hits == info.hits + 1

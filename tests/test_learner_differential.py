@@ -149,13 +149,78 @@ def test_pair_generator_gives_up_like_function(true_coll, harm_coll, strict, sla
     swallow = LanguageCollection.explicit(
         "h", [harm_coll.at(i) for i in range(1, harm_coll.length + 1)] + [true_lang | harm_lang]
     )
+    generator = ConservativePairGenerator(true_coll, swallow, strict=strict)
+    log: list = []
     with bounded(slack):
         play(
             FairInterleaver(true_lang, harm_lang),
-            ConservativePairGenerator(true_coll, swallow, strict=strict),
-            lambda r, t: conservative_pair_generate(true_coll, swallow, r, t, strict=strict),
+            generator,
+            lambda r, t: conservative_pair_generate(
+                true_coll, swallow, r, t, strict=strict, log=log
+            ),
             16,
         )
+    assert generator.choice_log == log
+
+
+@contextmanager
+def walks_past_bound():
+    """Record, for every escalation walk, whether it doubled the masks from
+    below its bound to beyond it."""
+    passed: list[bool] = []
+    walk = learners._DropWalker._walk
+
+    def spy(self, m, bound, seen):
+        before = self._sides[0].length
+        out = walk(self, m, bound, seen)
+        passed.append(before < bound < self._sides[0].length)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learners._DropWalker, "_walk", spy)
+        yield passed
+
+
+@pytest.mark.parametrize("low, far, slack", [(20, 45, 40), (20, 45, 80), (30, 100, 100)])
+def test_critical_generator_past_the_bound_matches_function(low, far, slack):
+    # The stream reveals 0..low, then jumps to far: the walk that looks for
+    # far doubles the masks past the bound m + slack.  Far's rank may lie
+    # between the bound and the mask length, where it must not be emitted.
+    lang = parse("Fin{" + ",".join(map(str, range(low + 1))) + f"}} | Ray({far},1)")
+    coll = LanguageCollection.explicit("c", [parse("I"), lang])
+    with bounded(slack), walks_past_bound() as passed:
+        play(
+            PositiveStream(lang),
+            CriticalGenerator(coll),
+            lambda r, t: critical_generate(coll, r, t),
+            200,
+        )
+    assert any(passed)
+
+
+@pytest.mark.parametrize("hole, slack, strict", [(40, 10, True), (60, 20, False)])
+def test_pair_generator_past_the_bound_matches_function(hole, slack, strict):
+    # The chosen difference is {hole}, at rank 2 * hole.  While the bound
+    # lies below that rank the learners give up, though the doubled masks
+    # may already hold it; once the bound passes it, they generate it.
+    everything = parse("I")
+    harm_lang = everything - parse(f"Fin{{{hole}}}")
+    true_coll = LanguageCollection.explicit("t", [everything])
+    harm_coll = LanguageCollection.explicit("h", [parse("E"), harm_lang])
+    generator = ConservativePairGenerator(true_coll, harm_coll, strict=strict)
+    log: list = []
+    with bounded(slack), walks_past_bound() as passed:
+        play(
+            FairInterleaver(everything, harm_lang),
+            generator,
+            lambda r, t: conservative_pair_generate(
+                true_coll, harm_coll, r, t, strict=strict, log=log
+            ),
+            200,
+        )
+    assert any(passed)
+    assert generator.choice_log == log
+    assert {rec.output_kind for rec in log} == {"generate", "give_up"}
 
 
 def test_critical_generator_matches_function_on_diagonal_trap():

@@ -168,6 +168,15 @@ def test_cli_replay_detects_tampering(tmp_path, capsys):
     assert main(["replay", str(path), str(trace_path)]) == 1
 
 
+# Each needs a tail period, or an lcm of two, far above algebra.MAX_PERIOD;
+# before the limit, loading any of them did not end.
+HUGE_PERIODS = [
+    "Ray(0,1000000007)",
+    "Ray(0,100003) | Ray(0,100019)",
+    "Ray(-1,-100003) | Ray(0,100019)",
+]
+
+
 def _without(key):
     return lambda row: {k: v for k, v in row.items() if k != key}
 
@@ -186,6 +195,23 @@ def _without(key):
         (4, lambda row: {**row, "element": "7"}, "trace line 4: field 'element' must be"),
         (4, lambda row: {**row, "injected": 0}, "trace line 4: field 'injected' must be"),
         (4, lambda row: {**row, "output": "generate", "value": None}, "trace line 4: field 'value'"),
+        *[
+            (
+                2,
+                lambda row, text=text: {**row, "pair": [text, "O"]},
+                "trace line 2: field 'pair': a tail period",
+            )
+            for text in HUGE_PERIODS
+        ],
+        # The pair parses, but scoring a bottom needs its difference, whose
+        # lcm is 300 * 301.
+        (
+            2,
+            lambda row: {
+                **row, "pair": ["Ray(0,300)", "Ray(0,301)"], "output": "bottom", "value": None
+            },
+            "a tail period (or lcm of two) of 90300",
+        ),
     ],
 )
 def test_cli_replay_malformed_trace_exits_2(tmp_path, capsys, play, line, edit, message):
@@ -359,3 +385,46 @@ def test_cli_non_integer_telltale_key_exits_2(tmp_path, capsys):
 )
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, scenario, field):
     assert f"error: {field}" in _run_bad(tmp_path, capsys, scenario)
+
+
+@pytest.mark.parametrize("text", HUGE_PERIODS)
+def test_cli_period_limit_at_load_exits_2(tmp_path, capsys, text):
+    bad = gen_scenario(adversary={"kind": "positive_stream", "lang": text})
+    err = _run_bad(tmp_path, capsys, bad)
+    assert "error: bad set expression in adversary.lang:" in err and "MAX_PERIOD" in err
+
+
+def test_cli_period_limit_during_play_exits_2(tmp_path, capsys):
+    # Each language loads, but their difference needs the lcm 300 * 301.
+    pair = {"true": "Ray(0,300)", "harm": "Ray(0,301)"}
+    bad = gen_scenario(
+        adversary={"kind": "fair_interleaver", **pair}, learner={"kind": "reference", **pair}
+    )
+    err = _run_bad(tmp_path, capsys, bad)
+    assert "error: a tail period (or lcm of two) of 90300" in err and "MAX_PERIOD" in err
+
+
+# Each set parses, but validating the collections at load compares or
+# subtracts two of them, which needs the lcm 300 * 301.
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {
+            "game": "sg_inf",
+            "true_collection": {"kind": "explicit", "sets": ["Ray(0,300)"]},
+            "harm_collection": {"kind": "explicit", "sets": ["Ray(0,301)"]},
+        },
+        {
+            "true_collection": {
+                "kind": "explicit",
+                "sets": ["Ray(0,300)", "Ray(0,301)"],
+                "telltales": {"1": [0], "2": [0]},
+            },
+        },
+    ],
+    ids=["sg_inf_difference", "telltale_subset"],
+)
+def test_cli_period_limit_in_validation_exits_2(tmp_path, capsys, fields):
+    bad = gen_scenario(**fields)
+    err = _run_bad(tmp_path, capsys, bad)
+    assert "error: a tail period (or lcm of two) of 90300" in err and "MAX_PERIOD" in err
