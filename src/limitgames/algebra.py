@@ -9,17 +9,18 @@ cardinality class, subset) is answered exactly with bounded arithmetic.
 Cost model: canonicalization, ``|``, ``&``, ``-`` and ``complement`` do
 residue arithmetic on the tails and visit only the listed window members,
 so each costs O(listed members of the operands and the result + lcm of the
-tail periods), however far apart the window bounds lie.  Rank masks
-(``rank_mask_block``) are built by residue arithmetic too: each residue
-class of a tail is one bit progression, and each half of the window (split
-at zero) is the progression of a rule chosen once per set XOR the points it
-lists against that rule inside the requested range, so a mask takes
-O(residues + listed points in range) Python steps plus big-integer work
-linear in its width.  ``first_not_in`` over a revealed sample is a mask
-scan: chunks of doubling width tested against the sample's rank bit set,
-so finding rank r costs O(log r) masks.  ``prefix``, ``iter_universe_order``
-and ``first_not_in`` over a predicate or a plain container still test one
-rank at a time.
+tail periods), however far apart the window bounds lie.  Reducing a tail to
+its minimal period (``_minimal_rule``) costs O(prime factors * residues).
+Rank masks (``rank_mask_block``) are built by residue arithmetic too: each
+residue class of a tail is one bit progression, and each half of the window
+(split at zero) is the progression of a rule chosen once per set XOR the
+points it lists against that rule inside the requested range, so a mask
+takes O(residues + listed points in range) Python steps plus big-integer
+work linear in its width.  ``first_not_in`` over a revealed sample is a
+mask scan: chunks of doubling width tested against the sample's rank bit
+set, so finding rank r costs O(log r) masks.  ``prefix``,
+``iter_universe_order`` and ``first_not_in`` over a predicate or a plain
+container still test one rank at a time.
 
 The lcm of the tail periods is bounded: no operation builds a rule whose
 period, or the lcm of two periods it compares or combines, exceeds
@@ -407,12 +408,22 @@ Rule = tuple[int, frozenset[int]]
 
 
 def _minimal_rule(period: int, residues: frozenset[int]) -> Rule:
-    # Smallest divisor of the period under which the residue set is shift
-    # invariant; the reduced rule decides the same predicate.
-    for cand in range(1, period):
-        if period % cand == 0 and frozenset((r + cand) % period for r in residues) == residues:
-            return cand, frozenset(r for r in residues if r < cand)
-    return period, residues
+    # The shifts that leave the residues invariant are the multiples of the
+    # minimal period, so dividing out of the period one prime factor at a
+    # time, while the quotient is still such a shift, ends at it.
+    best = rest = _check_period(period)
+    q = 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q:
+            q += 1
+            continue
+        while rest % q == 0:
+            rest //= q
+        while best % q == 0 and all((r + best // q) % period in residues for r in residues):
+            best //= q
+    return best, residues if best == period else frozenset(r for r in residues if r < best)
 
 
 def _lift(residues: frozenset[int], period: int, to: int) -> frozenset[int]:
@@ -480,6 +491,60 @@ def _members_at(s: PeriodicSet, points: list[int]) -> frozenset[int]:
     return s.window.union(tails) if tails else s.window
 
 
+def _violation(
+    cuts: Sequence[int],
+    rules: Sequence[Rule],
+    points: list[int],
+    inside: frozenset[int],
+    tail: Rule,
+    step: int,
+) -> int | None:
+    """The first point, moving by ``step`` (1: upwards, for the negative
+    tail; -1: downwards, for the positive one), whose membership breaks
+    ``tail``; None if there is none.  The description is ``_settle``'s.
+
+    Three phases, in this order: the pieces beyond the outermost listed
+    point, the listed points from that end, and the pieces within the
+    points' span up to the point found.  Beyond the outermost point no point
+    needs passing over, so a violation there is found without visiting the
+    listed points at all, however many there are."""
+    last = len(cuts)
+    period, residues = tail
+    # The pieces are searched in order from ``begin`` (inclusive) to ``end``
+    # (exclusive), None for no bound: first up to the outermost point, then
+    # from it up to the first listed point that breaks the rule.
+    order = range(1, last + 1) if step == 1 else range(last - 1, -1, -1)
+    begin, end = None, (points[0] if step == 1 else points[-1]) if points else None
+    while True:
+        for i in order:
+            # The piece's near end, and its far end (None for a tail).
+            if step == 1:
+                start, stop = cuts[i - 1], cuts[i] - 1 if i < last else None
+            else:
+                start, stop = cuts[i] - 1, cuts[i - 1] if i else None
+            if end is not None:
+                if (start - end) * step >= 0:
+                    break
+                if stop is None or (stop - end) * step >= 0:
+                    stop = end - step
+            if rules[i] == tail:
+                continue
+            if begin is not None and (start - begin) * step < 0:
+                if stop is not None and (stop - begin) * step < 0:
+                    continue
+                start = begin
+            x = _first_diff(start, stop, step, rules[i], tail, points)
+            if x is not None:
+                return x
+        if begin is not None or end is None:
+            return end
+        begin, end = end, None
+        for x in points if step == 1 else reversed(points):
+            if (x in inside) != (x % period in residues):
+                end = x
+                break
+
+
 def _settle(
     cuts: Sequence[int], rules: Sequence[Rule], points: list[int], inside: frozenset[int]
 ) -> PeriodicSet:
@@ -492,77 +557,16 @@ def _settle(
     ``inside``.  Both tail rules are reduced to minimal period and the
     window is placed at the unique tightest position, so equal sets get
     identical field tuples.
+
+    The window runs from the least point that breaks the negative tail's
+    rule to the greatest that breaks the positive one's, each found by one
+    ``_violation`` search: first beyond the outermost listed point, where no
+    point needs passing over, then the points, then the pieces among them.
     """
-    _check_period(rules[0][0])
-    _check_period(rules[-1][0])
     np_, nr = _minimal_rule(*rules[0])
     pp, pr = _minimal_rule(*rules[-1])
-    last = len(cuts)
-
-    # a: least point violating the negative-tail rule (None if there is
-    # none).  Below the first listed point only the pieces decide, and no
-    # point needs passing over there, so that stretch is searched first: a
-    # violation in it needs no pass over the points.
-    a = None
-    tail = (np_, nr)
-    first = points[0] if points else None
-    for i in range(1, last + 1):
-        if first is not None and cuts[i - 1] >= first:
-            break
-        if rules[i] == tail:
-            continue
-        end = cuts[i] - 1 if i < last else None
-        if first is not None and (end is None or end >= first):
-            end = first - 1
-        a = _first_diff(cuts[i - 1], end, 1, rules[i], tail, points)
-        if a is not None:
-            break
-    if a is None and points:
-        for x in points:
-            if (x in inside) != (x % np_ in nr):
-                a = x
-                break
-        for i in range(1, last + 1):
-            if a is not None and cuts[i - 1] >= a:
-                break
-            end = cuts[i] - 1 if i < last else None
-            if rules[i] == tail or end is not None and end < first:
-                continue
-            x = _first_diff(max(cuts[i - 1], first), end, 1, rules[i], tail, points)
-            if x is not None:
-                a = x if a is None else min(a, x)
-                break
-
-    # b: greatest point violating the positive-tail rule, dually.
-    b = None
-    tail = (pp, pr)
-    top = points[-1] if points else None
-    for i in range(last - 1, -1, -1):
-        if top is not None and cuts[i] - 1 <= top:
-            break
-        if rules[i] == tail:
-            continue
-        start = cuts[i - 1] if i else None
-        if top is not None and (start is None or start <= top):
-            start = top + 1
-        b = _first_diff(cuts[i] - 1, start, -1, rules[i], tail, points)
-        if b is not None:
-            break
-    if b is None and points:
-        for x in reversed(points):
-            if (x in inside) != (x % pp in pr):
-                b = x
-                break
-        for i in range(last - 1, -1, -1):
-            if b is not None and cuts[i] - 1 <= b:
-                break
-            start = cuts[i - 1] if i else None
-            if rules[i] == tail or start is not None and start > top:
-                continue
-            x = _first_diff(min(cuts[i] - 1, top), start, -1, rules[i], tail, points)
-            if x is not None:
-                b = x if b is None else max(b, x)
-                break
+    a = _violation(cuts, rules, points, inside, (np_, nr), 1)
+    b = _violation(cuts, rules, points, inside, (pp, pr), -1)
 
     if a is not None and b is not None and a <= b:
         lo, hi = a, b
@@ -583,7 +587,7 @@ def _settle(
     for i, rule in enumerate(rules):
         if rule[1]:
             start = max(cuts[i - 1], lo) if i else lo
-            end = min(cuts[i] - 1, hi) if i < last else hi
+            end = min(cuts[i] - 1, hi) if i < len(cuts) else hi
             if start <= end:
                 extra.update(_rule_members(rule, start, end))
     if extra:

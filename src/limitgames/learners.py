@@ -545,16 +545,23 @@ class _SideTracker:
             return (self.base & ~c.need) | c.bad
         return (self.base & ~c.bad) | c.need
 
-    def _differ(self, c: _Candidate, mask: int) -> None:
-        """Set the difference of ``c``, whose full mask is ``mask``, from
-        the base, and file it in the orders."""
-        miss, extra = self.base & ~mask, mask & ~self.base
-        c.need, c.bad = (miss, extra) if self.label else (extra, miss)
-        c.lo_need, c.lo_bad = _lowest(c.need), _lowest(c.bad)
-        if c.need:
-            insort(self._by_need, (c.lo_need, c.index, c))
-        if c.bad:
-            insort(self._by_bad, (c.lo_bad, c.index, c))
+    def _extend(self, c: _Candidate, miss: int, extra: int, shift: int) -> None:
+        """Add the base ranks ``c`` misses and the ranks it has beyond the
+        base, both as bits from rank ``shift`` + 1 on, to its difference;
+        file it in the orders where that difference was empty."""
+        need, bad = (miss, extra) if self.label else (extra, miss)
+        # The new ranks lie above the old ones, so a lowest rank changes
+        # only when the difference was empty.
+        if need:
+            if not c.need:
+                c.lo_need = shift + _lowest(need)
+                insort(self._by_need, (c.lo_need, c.index, c))
+            c.need |= need << shift
+        if bad:
+            if not c.bad:
+                c.lo_bad = shift + _lowest(bad)
+                insort(self._by_bad, (c.lo_bad, c.index, c))
+            c.bad |= bad << shift
 
     def _remove(self, c: _Candidate) -> None:
         del self.live[bisect_left(self.live, c.index, key=_INDEX)]
@@ -579,7 +586,9 @@ class _SideTracker:
             self._by_need.clear()
             self._by_bad.clear()
             for c, mask in keep:
-                self._differ(c, mask)
+                c.need = c.bad = 0
+                c.lo_need = c.lo_bad = inf
+                self._extend(c, self.base & ~mask, mask & ~self.base, 0)
             return [c for c, mask in masks if mask & new != new]
         # A dead candidate misses a new rank, so its lowest miss is at most
         # the highest new rank.
@@ -606,22 +615,8 @@ class _SideTracker:
             first = blocks[0]
             self.base |= first << old
             for c, block in zip(self.live, blocks):
-                if block == first:
-                    continue
-                miss, extra = first & ~block, block & ~first
-                need, bad = (miss, extra) if self.label else (extra, miss)
-                # The new ranks lie above the old ones, so a lowest rank
-                # changes only when the difference was empty.
-                if need:
-                    if not c.need:
-                        c.lo_need = old + _lowest(need)
-                        insort(self._by_need, (c.lo_need, c.index, c))
-                    c.need |= need << old
-                if bad:
-                    if not c.bad:
-                        c.lo_bad = old + _lowest(bad)
-                        insort(self._by_bad, (c.lo_bad, c.index, c))
-                    c.bad |= bad << old
+                if block != first:
+                    self._extend(c, first & ~block, block & ~first, old)
 
     def admit(self, upto: int) -> None:
         # The masks must already cover every sampled rank.
@@ -633,7 +628,7 @@ class _SideTracker:
             if self.sample & ~mask == 0:
                 c = _Candidate(self.admitted, lang)
                 if self.live:
-                    self._differ(c, mask)
+                    self._extend(c, self.base & ~mask, mask & ~self.base, 0)
                 else:
                     self.base = mask
                 self.live.append(c)

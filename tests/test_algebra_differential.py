@@ -7,13 +7,18 @@ wide but sparsely listed; a width-proportional implementation would take
 minutes on them instead of milliseconds.
 """
 
+import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 
 import pointwise_algebra as ref
 from limitgames.algebra import (
     PeriodicSet,
+    _minimal_rule,
+    _settle,
+    _violation,
     all_integers,
     even_nonnegatives,
     negative_integers,
@@ -94,6 +99,82 @@ def test_arbitrary_descriptions_match_pointwise_canonicalize():
             frozenset(r for r in range(pp) if rng.random() < 0.5),
         )
         assert fields(PeriodicSet.build(*desc)) == fields(ref.canonicalize(*desc)), desc
+
+
+def test_minimal_rule_matches_pointwise_form():
+    # Every residue set of the small periods, then rules lifted from a
+    # random one to a multiple of its period (minimal or not).
+    for period in range(1, 13):
+        for bits in range(1 << period):
+            residues = frozenset(r for r in range(period) if bits >> r & 1)
+            assert _minimal_rule(period, residues) == ref.minimal_rule(period, residues)
+    rng = random.Random(5)
+    for _ in range(3000):
+        base = rng.randint(1, 40)
+        period = base * rng.randint(1, 1200 // base)
+        residues = frozenset(r for r in range(base) if rng.random() < 0.5)
+        lifted = frozenset(r + k for k in range(0, period, base) for r in residues)
+        assert _minimal_rule(period, lifted) == ref.minimal_rule(period, lifted)
+
+
+def random_rule(rng: random.Random) -> tuple[int, frozenset[int]]:
+    base = rng.randint(1, 4)
+    residues = [r for r in range(base) if rng.random() < 0.5]
+    period = base * rng.randint(1, 3)
+    return period, frozenset(r + k for k in range(0, period, base) for r in residues)
+
+
+def random_description(rng: random.Random) -> tuple:
+    """A piecewise description as ``_settle`` takes it: 1 to 4 cuts, a rule
+    per piece, and listed points on both sides of the inner cuts."""
+    cuts = sorted(rng.sample(range(-30, 31), rng.randint(1, 4)))
+    neg, pos = random_rule(rng), random_rule(rng)
+    choices = [neg, pos, ref.minimal_rule(*neg), ref.minimal_rule(*pos), (1, frozenset({0}))]
+    inner = [
+        rng.choice(choices) if rng.random() < 0.6 else random_rule(rng)
+        for _ in range(len(cuts) - 1)
+    ]
+    near = [x for c in cuts for x in range(c - 3, c + 3) if rng.random() < 0.3]
+    spread = rng.sample(range(-30, 31), rng.randint(0, 4))
+    points = sorted(x for x in set(near + spread) if cuts[0] <= x < cuts[-1])
+    inside = frozenset(x for x in points if rng.random() < 0.5)
+    return cuts, [neg, *inner, pos], points, inside
+
+
+def phase(found, points: list[int], step: int) -> str:
+    """The phase of ``_violation`` that returns ``found``."""
+    if found is None:
+        return "none"
+    if found in points:
+        return "points"
+    if not points or (found - (points[0] if step == 1 else points[-1])) * step < 0:
+        return "beyond"
+    return "within"
+
+
+def test_settle_matches_pointwise_canonicalize():
+    rng = random.Random(17)
+    reached = set()
+    for _ in range(2000):
+        cuts, rules, points, inside = random_description(rng)
+
+        def member(x: int) -> bool:
+            if x in points:
+                return x in inside
+            period, residues = rules[bisect_right(cuts, x)]
+            return x % period in residues
+
+        # One cut leaves no middle piece; then [c, c] follows the last rule.
+        lo, hi = cuts[0], max(cuts[0], cuts[-1] - 1)
+        window = frozenset(x for x in range(lo, hi + 1) if member(x))
+        expected = ref.canonicalize(*rules[0], lo, hi, window, *rules[-1])
+        got = _settle(cuts, rules, points, inside)
+        assert fields(got) == fields(expected), (cuts, rules, points, inside)
+        for step, tail in ((1, rules[0]), (-1, rules[-1])):
+            found = _violation(cuts, rules, points, inside, _minimal_rule(*tail), step)
+            reached.add((step, phase(found, points, step)))
+    kinds = ("none", "beyond", "points", "within")
+    assert reached == set(itertools.product((1, -1), kinds))
 
 
 def wide_operands(n: int, k: int) -> list[PeriodicSet]:
