@@ -20,7 +20,7 @@ from limitgames.adversaries import DiagonalAdversary, FairInterleaver, PhasedInj
 from limitgames.algebra import all_integers, y_set
 from limitgames.arena import score_against_pair
 from limitgames.families import diagonal_trap_collections, identification_trap_collections
-from limitgames.learners import ConservativePairGenerator, CriticalGenerator, EagerIdentifier
+from limitgames.learners import ConservativePairGenerator, EagerIdentifier
 
 # ----------------------------------------------------------------------
 # 1. The identification trap
@@ -53,7 +53,7 @@ spec = ScenarioSpec(
     name="diagonal-trap",
     game=GameKind.SG,
     adversary_factory=lambda: DiagonalAdversary(dt_true, dt_harm),
-    learner_factory=lambda: CriticalGenerator(dt_true),
+    learner_factory=lambda: ConservativePairGenerator(dt_true),
     horizon=400,
     window=50,
     true_coll=dt_true,

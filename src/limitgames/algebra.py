@@ -454,14 +454,20 @@ def _first_diff(
     where ``rule`` and ``tail`` disagree; None if there is no such x."""
     (p1, r1), (p2, r2) = rule, tail
     period = _check_period(lcm(p1, p2))
-    offsets = [
-        d
-        for d in range(0, period * step, step)
-        if ((start + d) % p1 in r1) != ((start + d) % p2 in r2)
-    ]
+    # The first period is scanned lazily, up to ``stop``; the offsets of the
+    # skipped disagreements serve the later periods.
+    span = period if stop is None else min(period, (stop - start) * step + 1)
+    offsets = []
+    for d in range(0, span * step, step):
+        x = start + d
+        if (x % p1 in r1) != (x % p2 in r2):
+            i = bisect_left(skip, x)
+            if i == len(skip) or skip[i] != x:
+                return x
+            offsets.append(d)
     if not offsets:
         return None
-    base = start
+    base = start + period * step
     while True:
         for d in offsets:
             x = base + d

@@ -16,6 +16,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from math import inf
 from typing import Callable
 
 from .adversaries import Adversary
@@ -38,6 +39,15 @@ class GameKind(str, Enum):
 
 class ScenarioError(ValueError):
     """Raised when a scenario fails validation before step 1."""
+
+
+class TraceRuleError(ValueError):
+    """Raised when a well-formed trace breaks a rule of the game."""
+
+
+def in_labelled_side(example: LabeledExample, pair: tuple[PeriodicSet, PeriodicSet]) -> bool:
+    """Does the example's element lie in the side of ``pair`` its label names?"""
+    return example.element in pair[0 if example.label == 1 else 1]
 
 
 def score_step(
@@ -196,6 +206,9 @@ def _decode_head(row: dict) -> Trace:
         game = GameKind(row["game"])
     except ValueError:
         raise ScenarioError(f"field 'game': unknown game {row['game']!r}") from None
+    key = next((k for k in ("horizon", "window") if type(row[k]) is not int), None)
+    if key is not None:
+        raise ScenarioError(f"field {key!r} must be an integer")
     return Trace(scenario=row["scenario"], game=game, horizon=row["horizon"], window=row["window"])
 
 
@@ -208,6 +221,8 @@ def _decode_step(row: dict) -> StepRecord:
         key = next(k for k, want in _STEP_TYPES.items() if type(row[k]) is not want)
         want = "a boolean" if _STEP_TYPES[key] is bool else "an integer"
         raise ScenarioError(f"field {key!r} must be {want}")
+    if label not in (0, 1):
+        raise ScenarioError(f"field 'label' must be 0 or 1, got {label}")
     if kind not in _OUTPUT_KINDS:
         raise ScenarioError(f"field 'output': unknown output kind {kind!r}")
     if (value is None) != (kind == "bottom") or value is not None and type(value) is not int:
@@ -287,8 +302,7 @@ def run_game(spec: ScenarioSpec) -> RunResult:
         emission = adversary.emit(t)
         true_lang, harm_lang = adversary.current_pair()
         example = emission.example
-        lang = true_lang if example.label == 1 else harm_lang
-        if example.element not in lang:
+        if not in_labelled_side(example, (true_lang, harm_lang)):
             raise AssertionError(
                 f"untruthful emission at step {t}: {example} not in committed side"
             )
@@ -347,18 +361,39 @@ def judge(trace: Trace, adversary: Adversary, spec: ScenarioSpec) -> Verdict:
 def rescore_trace(
     trace: Trace, true_coll: LanguageCollection | None = None
 ) -> list[bool]:
-    """Recompute per-step correctness of a stored trace from its own records."""
+    """Recompute per-step correctness of a stored trace from its own records,
+    raising TraceRuleError at the first step that breaks a rule of the game:
+    ``t`` out of sequence, a falling ``phase``, an element outside its
+    labelled side, or a row count other than the header's ``horizon``."""
     difference.cache_clear()
     revealed = RevealedSet()
     pair: tuple[PeriodicSet, PeriodicSet] | None = None
+    phase = -inf
     out: list[bool] = []
-    for s in trace.steps:
+    for t, s in enumerate(trace.steps, start=1):
         if s.pair is not None:
             pair = s.pair
         if pair is None:
             raise ScenarioError("trace does not declare the committed pair")
-        revealed.add(LabeledExample(s.element, s.label))
+        if s.t != t:
+            raise TraceRuleError(f"step {t}: t is {s.t}; t must run 1, 2, ... without gaps")
+        if s.phase < phase:
+            raise TraceRuleError(f"step {t}: phase falls from {phase} to {s.phase}")
+        example = LabeledExample(s.element, s.label)
+        if not in_labelled_side(example, pair):
+            side = "true" if s.label == 1 else "harm"
+            raise TraceRuleError(
+                f"step {t}: element {s.element} is labelled {s.label} but is not in "
+                f"the committed {side} language"
+            )
+        phase = s.phase
+        revealed.add(example)
         out.append(score_step(trace.game, s.output, pair[0], pair[1], revealed, true_coll))
+    if len(out) != trace.horizon:
+        raise TraceRuleError(
+            f"step {min(len(out), trace.horizon) + 1}: the trace has {len(out)} steps, "
+            f"but its header's horizon is {trace.horizon}"
+        )
     return out
 
 

@@ -7,7 +7,8 @@ Subcommands:
 * ``demo NAME``: play a named experiment's games from the scenario catalogue
   (``demos/scenarios/``) and print its exhibit check.
 * ``check-algebra``: run the randomized algebra property suite.
-* ``replay SCENARIO TRACE``: re-score a stored trace and compare verdicts.
+* ``replay SCENARIO TRACE``: check a stored trace against the game's rules,
+  re-score it and compare the correctness flags.
 
 Runs are deterministic: the same scenario file always produces byte
 identical trace files.
@@ -25,6 +26,7 @@ from .arena import (
     ScenarioError,
     ScenarioSpec,
     Trace,
+    TraceRuleError,
     rescore_trace,
     run_game,
     score_against_pair,
@@ -273,7 +275,11 @@ def _cmd_check_algebra(args) -> int:
 def _cmd_replay(args) -> int:
     spec = _load_game(args.scenario)
     trace = Trace.from_jsonl(args.trace.read_text())
-    recomputed = rescore_trace(trace, spec.true_coll)
+    try:
+        recomputed = rescore_trace(trace, spec.true_coll)
+    except TraceRuleError as exc:
+        print(f"replay: RULE BROKEN at {exc}")
+        return 1
     stored = [s.correct for s in trace.steps]
     if recomputed != stored:
         first = next(i for i, (a, b) in enumerate(zip(stored, recomputed)) if a != b)

@@ -2,15 +2,15 @@
 
 Two families of learners live here:
 
-* plain functions (``critical_generate``, ``conservative_pair_generate``,
-  ``identify_with_probes``, ...) that recompute everything from the revealed
-  sample each step, written in the most direct form; they are the reference
-  oracles; and
+* plain functions (``conservative_pair_generate``, ``identify_with_probes``,
+  ...) that recompute everything from the revealed sample each step,
+  written in the most direct form; they are the reference oracles; and
 * the game-facing classes.  Every one that does more than constant work a
   step is stateful: it keeps its consistent candidates as rank masks from
   step to step (``_SideTracker``), so a step costs the new examples and the
-  candidates they touch, not a pass over all t examples.  ``CriticalGenerator``
-  and ``ConservativePairGenerator`` escalate the cutoff over drop points;
+  candidates they touch, not a pass over all t examples.
+  ``ConservativePairGenerator`` escalates the cutoff over drop points (with
+  no harm collection it is the critical-language generator);
   ``NaiveIdentifier`` reads the first live candidate; ``TelltaleGenerator``
   tests telltales as rank masks; ``ProbeIdentifier`` keeps every compared
   pair's probe sample and extends it by one word per side a step.  The
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import inf
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Protocol, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
 
 from .algebra import Cardinality, PeriodicSet, difference, universe_elem, universe_index
 from .families import (
@@ -187,42 +187,14 @@ def is_critical(
     return True
 
 
-def _escalation_bound(m0: int, t: int, spans: list[int]) -> int:
+def _escalation_bound(m0: int, t: int, spans: Iterable[int]) -> int:
     span = max(spans, default=1)
     return m0 + (t + 4) * (span + 4) + 1024
 
 
-def critical_generate(
-    coll: LanguageCollection, revealed: RevealedSet, t: int
-) -> LearnerOutput:
-    """Generate from the highest-indexed critical candidate.
-
-    The cutoff starts large enough to cover every string seen so far and
-    grows until the chosen candidate offers an unseen element within range.
-    Falls back to the first universe element when nothing is consistent.
-    """
-    consistent = consistent_indices(coll, revealed, t, "true")
-    if not consistent:
-        return LearnerOutput.generate(universe_elem(1))
-    seen = revealed.pos | revealed.neg
-    m = max((universe_index(x) for x in seen), default=1)
-    bound = _escalation_bound(m, t, [coll.at(i).span() for i in consistent])
-    while m <= bound:
-        best = _primal_best_sets(coll, consistent, m)
-        if best is None:
-            raise RuntimeError("no critical candidate among the consistent ones")
-        lang = coll.at(best)
-        for rank in range(1, m + 1):
-            x = universe_elem(rank)
-            if x in lang and x not in seen:
-                return LearnerOutput.generate(x)
-        m += 1
-    raise RuntimeError("prefix cutoff escalation exceeded its bound")
-
-
 def conservative_pair_generate(
     coll_true: LanguageCollection,
-    coll_harm: LanguageCollection,
+    coll_harm: LanguageCollection | None,
     revealed: RevealedSet,
     t: int,
     *,
@@ -235,12 +207,15 @@ def conservative_pair_generate(
     finds an unseen element of the chosen difference.  Without the promise
     the chosen difference can be empty; the search then exhausts its bound
     and the learner gives up with bottom (or an arbitrary word when relaxed).
+    With ``coll_harm`` None there is no harm side: the choice is the highest
+    critical true candidate, the critical-language generator of plain
+    generation in the limit.
     ``log``, when given, receives the step's record, as the ``choice_log``
     of ``ConservativePairGenerator`` does.  It exists only so differential
     tests can compare the two logs, and selects no behaviour.
     """
     cons_k = consistent_indices(coll_true, revealed, t, "true")
-    cons_h = consistent_indices(coll_harm, revealed, t, "harm")
+    cons_h = [] if coll_harm is None else consistent_indices(coll_harm, revealed, t, "harm")
     record = log.append if log is not None else lambda rec: None
     if not cons_k:
         record(ChoiceRecord(t, None, None, None, "generate"))
@@ -485,6 +460,7 @@ def _lowest(bits: int) -> float:
 
 
 _INDEX = attrgetter("index")
+_MAX_SPAN = attrgetter("max_span")
 
 
 class _Candidate:
@@ -733,8 +709,9 @@ class _DropWalker:
         """Escalate the cutoff from ``m`` over drop points, as the module
         docstring describes, emitting no rank set in ``seen``.  Returns the
         rank to emit (None when the walk passes ``bound`` first) with the
-        true and harm candidates chosen at that cutoff (harm None when no
-        harm candidate is alive).  The true side must have a live candidate.
+        true and harm candidates chosen at that cutoff (harm None when there
+        is no harm side or no harm candidate is alive).  The true side must
+        have a live candidate.
 
         When neither lies within the masks, their length doubles, even past
         ``bound`` (to less than twice it): ranks and drop points beyond the
@@ -763,9 +740,9 @@ class _DropWalker:
             m = drop
 
 
-@dataclass(frozen=True)
-class ChoiceRecord:
-    """Per-step log entry of a pair generator's chosen hypotheses."""
+class ChoiceRecord(NamedTuple):
+    """Per-step log entry of a pair generator's chosen hypotheses; a plain
+    tuple, because every step of the learner builds one."""
 
     t: int
     true_index: int | None
@@ -774,60 +751,35 @@ class ChoiceRecord:
     output_kind: str
 
 
-class CriticalGenerator(_DropWalker):
-    """Stateful generation learner over one collection (true side only).
-
-    Keeps consistency and rank masks incrementally and escalates over drop
-    points; outputs match :func:`critical_generate` step for step.  Strings carrying either label
-    count as seen and are never emitted.
-    """
-
-    def __init__(self, coll: LanguageCollection):
-        super().__init__(_SideTracker(coll, 1))
-        self.coll = coll
-
-    def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
-        self._observe(revealed, t)
-        side = self._sides[0]
-        if not side.live:
-            return LearnerOutput.generate(universe_elem(1))
-        bound = _escalation_bound(self._max_rank, t, [side.max_span])
-        rank, _, _ = self._walk(self._max_rank, bound, revealed.ranks)
-        if rank is None:
-            raise RuntimeError("prefix cutoff escalation exceeded its bound")
-        return LearnerOutput.generate(universe_elem(rank))
-
-
 class ConservativePairGenerator(_DropWalker):
     """Stateful smallest-true/largest-harm generator over two collections.
 
     Without the infinite-difference promise the chosen pair can have an
     empty or finite difference; the learner then gives up with bottom for
     the step and records the event in ``choice_log``, which is what the
-    conservative-failure demo inspects.
+    conservative-failure demo inspects.  With ``coll_harm`` None there is
+    no harm side, and the learner is the critical-language generator.
+    Outputs match :func:`conservative_pair_generate` step for step.
     """
 
     def __init__(
         self,
         coll_true: LanguageCollection,
-        coll_harm: LanguageCollection,
+        coll_harm: LanguageCollection | None = None,
         *,
         strict: bool = True,
     ):
-        super().__init__(_SideTracker(coll_true, 1), _SideTracker(coll_harm, 0))
-        self.coll_true = coll_true
-        self.coll_harm = coll_harm
+        harm = () if coll_harm is None else (_SideTracker(coll_harm, 0),)
+        super().__init__(_SideTracker(coll_true, 1), *harm)
         self.strict = strict
         self.choice_log: list[ChoiceRecord] = []
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
         self._observe(revealed, t)
-        true, harm = self._sides
-        if not true.live:
+        if not self._sides[0].live:
             self.choice_log.append(ChoiceRecord(t, None, None, None, "generate"))
             return LearnerOutput.generate(universe_elem(1))
-        span = max(true.max_span, harm.max_span)
-        bound = _escalation_bound(self._max_rank, t, [span])
+        bound = _escalation_bound(self._max_rank, t, map(_MAX_SPAN, self._sides))
         rank, k_cand, h_cand = self._walk(self._max_rank, bound, revealed.ranks)
         kc = k_cand.index
         hc = h_cand.index if h_cand is not None else None
@@ -861,7 +813,6 @@ class ProbeIdentifier(_DropWalker):
 
     def __init__(self, coll: LanguageCollection, sg: SgSubroutine | None = None):
         super().__init__(_SideTracker(coll, 1))
-        self.coll = coll
         self.sg = sg or relaxed_reference_sg
         self._members: dict[int, tuple[list[int], Iterator[int]]] = {}
         self._probes: dict[tuple[int, int], RevealedSet] = {}
@@ -912,7 +863,6 @@ class NaiveIdentifier(_DropWalker):
 
     def __init__(self, coll: LanguageCollection):
         super().__init__(_SideTracker(coll, 1))
-        self.coll = coll
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
         self._observe(revealed, t)
@@ -935,8 +885,6 @@ class TelltaleGenerator(_DropWalker):
         strict: bool = True,
     ):
         super().__init__(_SideTracker(coll_true, 1), _SideTracker(coll_harm, 0))
-        self.coll_true = coll_true
-        self.coll_harm = coll_harm
         self.strict = strict
         # Per side: index -> (highest telltale rank, rank mask).  A mask is
         # built once the side's sample reaches that rank; before then the

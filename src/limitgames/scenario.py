@@ -261,8 +261,10 @@ def _build_learner(cfg: dict, true_coll, harm_coll):
         return harm_coll
 
     if kind == "critical":
+        # The pair learner with no harm side; a declared harm collection
+        # is left to the adversary and the scoring.
         coll = need_true()
-        return lambda: learners.CriticalGenerator(coll)
+        return lambda: learners.ConservativePairGenerator(coll)
     if kind == "conservative":
         ct, ch = need_true(), need_harm()
         return lambda: learners.ConservativePairGenerator(ct, ch, strict=strict)

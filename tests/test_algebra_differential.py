@@ -10,12 +10,14 @@ minutes on them instead of milliseconds.
 import itertools
 import random
 from bisect import bisect_right
+from math import lcm
 
 import pytest
 
 import pointwise_algebra as ref
 from limitgames.algebra import (
     PeriodicSet,
+    _first_diff,
     _minimal_rule,
     _settle,
     _violation,
@@ -175,6 +177,33 @@ def test_settle_matches_pointwise_canonicalize():
             reached.add((step, phase(found, points, step)))
     kinds = ("none", "beyond", "points", "within")
     assert reached == set(itertools.product((1, -1), kinds))
+
+
+def test_first_diff_matches_pointwise_scan():
+    # The skip list holds a run of the first disagreements, up to all of
+    # those in three periods, and random points; the answer then lies in the
+    # first period, in a later one past skipped points, past ``stop``, or
+    # nowhere (the two rules agree).
+    rng = random.Random(29)
+    reached = set()
+    for _ in range(3000):
+        rule, tail = random_rule(rng), random_rule(rng)
+        start, step = rng.randint(-20, 20), rng.choice((1, -1))
+        period = lcm(rule[0], tail[0])
+        stop = None if rng.random() < 0.4 else start + step * rng.randint(-2, 4 * period)
+        ahead = [start + step * d for d in range(4 * period)]
+        diffs = [x for x in ahead if (x % rule[0] in rule[1]) != (x % tail[0] in tail[1])]
+        first = diffs[: rng.randint(0, len(diffs))]
+        noise = [x for x in ahead[: 3 * period] if rng.random() < 0.1]
+        skip = sorted({*first, *noise} & set(ahead[: 3 * period]))
+        within = [x for x in diffs if x not in skip and (stop is None or (x - stop) * step <= 0)]
+        expected = within[0] if within else None
+        assert _first_diff(start, stop, step, rule, tail, skip) == expected
+        if expected is None:
+            reached.add("none" if not diffs else "stopped")
+        else:
+            reached.add("first" if (expected - start) * step < period else "later")
+    assert reached == {"none", "stopped", "first", "later"}
 
 
 def wide_operands(n: int, k: int) -> list[PeriodicSet]:

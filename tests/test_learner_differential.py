@@ -1,12 +1,12 @@
 """The stateful learners against their functional forms, step by step.
 
-``CriticalGenerator`` and ``ConservativePairGenerator`` escalate the prefix
-cutoff over drop points and rank masks; ``critical_generate`` and
-``conservative_pair_generate`` recompute every cutoff from the revealed
-sample.  ``NaiveIdentifier``, ``ProbeIdentifier`` and ``TelltaleGenerator``
-keep consistency (and probe samples) across steps; ``naive_identify``,
-``identify_with_probes`` and ``telltale_safe_generate`` start over every
-step.  Every step must give the same move, or both must raise.  The side
+``ConservativePairGenerator`` escalates the prefix cutoff over drop points
+and rank masks, with a harm collection or without one (the critical
+learner); ``conservative_pair_generate`` recomputes every cutoff from the
+revealed sample.  ``NaiveIdentifier``, ``ProbeIdentifier`` and
+``TelltaleGenerator`` keep consistency (and probe samples) across steps;
+``naive_identify``, ``identify_with_probes`` and ``telltale_safe_generate``
+start over every step.  Every step must give the same move, or both must raise.  The side
 trackers under them are checked on their own against the definition of
 criticality over random rank masks.
 """
@@ -33,12 +33,10 @@ from limitgames.families import (
 from limitgames.fuzz import random_set
 from limitgames.learners import (
     ConservativePairGenerator,
-    CriticalGenerator,
     NaiveIdentifier,
     ProbeIdentifier,
     TelltaleGenerator,
     conservative_pair_generate,
-    critical_generate,
     identify_with_probes,
     naive_identify,
     relaxed_reference_sg,
@@ -103,8 +101,8 @@ def test_critical_generator_matches_function(coll, other, pick, fair, slack):
     with bounded(slack):
         play(
             adversary,
-            CriticalGenerator(coll),
-            lambda r, t: critical_generate(coll, r, t),
+            ConservativePairGenerator(coll),
+            lambda r, t: conservative_pair_generate(coll, None, r, t),
             200,
         )
 
@@ -191,8 +189,8 @@ def test_critical_generator_past_the_bound_matches_function(low, far, slack):
     with bounded(slack), walks_past_bound() as passed:
         play(
             PositiveStream(lang),
-            CriticalGenerator(coll),
-            lambda r, t: critical_generate(coll, r, t),
+            ConservativePairGenerator(coll),
+            lambda r, t: conservative_pair_generate(coll, None, r, t),
             200,
         )
     assert any(passed)
@@ -227,8 +225,8 @@ def test_critical_generator_matches_function_on_diagonal_trap():
     true_coll, harm_coll = diagonal_trap_collections()
     play(
         DiagonalAdversary(true_coll, harm_coll),
-        CriticalGenerator(true_coll),
-        lambda r, t: critical_generate(true_coll, r, t),
+        ConservativePairGenerator(true_coll),
+        lambda r, t: conservative_pair_generate(true_coll, None, r, t),
         60,
     )
 

@@ -14,12 +14,10 @@ from limitgames.families import LabeledExample, LanguageCollection, RevealedSet
 from limitgames.learners import (
     AlwaysBottom,
     ConservativePairGenerator,
-    CriticalGenerator,
     EagerIdentifier,
     LearnerOutput,
     StubbornIdentifier,
     conservative_pair_generate,
-    critical_generate,
     identify_with_probes,
     is_critical,
     naive_identify,
@@ -61,12 +59,14 @@ def test_is_critical_examples():
 
 
 def test_critical_generate_examples():
-    assert critical_generate(coll(I, E), revealed(pos=[0, 2]), 2) == LearnerOutput.generate(4)
-    assert critical_generate(coll(I), revealed(pos=[0]), 1) == LearnerOutput.generate(1)
+    out = conservative_pair_generate(coll(I, E), None, revealed(pos=[0, 2]), 2)
+    assert out == LearnerOutput.generate(4)
+    out = conservative_pair_generate(coll(I), None, revealed(pos=[0]), 1)
+    assert out == LearnerOutput.generate(1)
 
 
 def test_critical_generate_fallback_when_nothing_consistent():
-    out = critical_generate(coll(E), revealed(pos=[1]), 1)
+    out = conservative_pair_generate(coll(E), None, revealed(pos=[1]), 1)
     assert out == LearnerOutput.generate(universe_elem(1))
 
 
@@ -74,7 +74,7 @@ def test_critical_generate_never_repeats_seen():
     c = coll(I, O, E, q_set(1), y_set(0))
     adv = PositiveStream(O)
     r = RevealedSet()
-    gen = CriticalGenerator(c)
+    gen = ConservativePairGenerator(c)
     for t in range(1, 60):
         r.add(adv.emit(t).example)
         out = gen.step(r, t)
@@ -85,10 +85,10 @@ def test_critical_class_matches_function():
     c = coll(I, O, E, q_set(1), y_set(0))
     adv = PositiveStream(O)
     r = RevealedSet()
-    gen = CriticalGenerator(c)
+    gen = ConservativePairGenerator(c)
     for t in range(1, 41):
         r.add(adv.emit(t).example)
-        assert gen.step(r, t) == critical_generate(c, r, t)
+        assert gen.step(r, t) == conservative_pair_generate(c, None, r, t)
 
 
 # ----------------------------------------------------------------------

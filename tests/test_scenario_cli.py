@@ -168,6 +168,41 @@ def test_cli_replay_detects_tampering(tmp_path, capsys):
     assert main(["replay", str(path), str(trace_path)]) == 1
 
 
+def _edit_step(step, **fields):
+    """Replace fields of the row of step ``step`` (line step + 1 of the trace)."""
+
+    def edit(lines):
+        lines[step] = json.dumps({**json.loads(lines[step]), **fields}, sort_keys=True)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # The generation game's true language is Ray(1,2), the odd positives.
+        (_edit_step(5, element=-7, label=1), "step 5: element -7 is labelled 1 but is not in"),
+        (lambda lines: lines.pop(5), "step 5: t is 6; t must run 1, 2, ... without gaps"),
+        (_edit_step(5, t=4), "step 5: t is 4; t must run"),
+        (_edit_step(5, phase=0), "step 5: phase falls from 1 to 0"),
+        (lambda lines: lines.pop(), "step 120: the trace has 119 steps, but its header's"),
+    ],
+)
+def test_cli_replay_broken_rule_exits_1(tmp_path, capsys, edit, message):
+    # Every stored flag still matches its re-scored value, so a replay that
+    # compared only the flags would pass each of these traces.
+    path = write_json(tmp_path / "gen.json", gen_scenario())
+    out = tmp_path / "out"
+    main(["run", str(path), "--out", str(out)])
+    trace_path = out / "gen-demo.trace.jsonl"
+    lines = trace_path.read_text().splitlines()
+    edit(lines)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(path), str(trace_path)]) == 1
+    assert f"replay: RULE BROKEN at {message}" in capsys.readouterr().out
+
+
 # Each needs a tail period, or an lcm of two, far above algebra.MAX_PERIOD;
 # before the limit, loading any of them did not end.
 HUGE_PERIODS = [
@@ -194,6 +229,8 @@ def _without(key):
         (1, lambda row: {**row, "game": "chess"}, "trace line 1: field 'game':"),
         (4, lambda row: {**row, "element": "7"}, "trace line 4: field 'element' must be"),
         (4, lambda row: {**row, "injected": 0}, "trace line 4: field 'injected' must be"),
+        (4, lambda row: {**row, "label": 2}, "trace line 4: field 'label' must be 0 or 1"),
+        (1, lambda row: {**row, "horizon": "300"}, "trace line 1: field 'horizon' must be"),
         (4, lambda row: {**row, "output": "generate", "value": None}, "trace line 4: field 'value'"),
         *[
             (
@@ -203,12 +240,12 @@ def _without(key):
             )
             for text in HUGE_PERIODS
         ],
-        # The pair parses, but scoring a bottom needs its difference, whose
-        # lcm is 300 * 301.
+        # The pair parses and holds step 1's element, 1, but scoring a bottom
+        # needs its difference, whose lcm is 300 * 301.
         (
             2,
             lambda row: {
-                **row, "pair": ["Ray(0,300)", "Ray(0,301)"], "output": "bottom", "value": None
+                **row, "pair": ["Ray(1,300)", "Ray(0,301)"], "output": "bottom", "value": None
             },
             "a tail period (or lcm of two) of 90300",
         ),
