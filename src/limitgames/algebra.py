@@ -6,21 +6,24 @@ unbounded tail.  The representation is canonical, so structural equality
 decides set equality, and every query (membership, Boolean combination,
 cardinality class, subset) is answered exactly with bounded arithmetic.
 
-Cost model: canonicalization, ``|``, ``&``, ``-`` and ``complement`` do
-residue arithmetic on the tails and visit only the listed window members,
-so each costs O(listed members of the operands and the result + lcm of the
-tail periods), however far apart the window bounds lie.  Reducing a tail to
-its minimal period (``_minimal_rule``) costs O(prime factors * residues).
-Rank masks (``rank_mask_block``) are built by residue arithmetic too: each
-residue class of a tail is one bit progression, and each half of the window
-(split at zero) is the progression of a rule chosen once per set XOR the
-points it lists against that rule inside the requested range, so a mask
-takes O(residues + listed points in range) Python steps plus big-integer
-work linear in its width.  ``first_not_in`` over a revealed sample is a
-mask scan: chunks of doubling width tested against the sample's rank bit
-set, so finding rank r costs O(log r) masks.  ``prefix``,
-``iter_universe_order`` and ``first_not_in`` over a predicate or a plain
-container still test one rank at a time.
+Cost model: a set is stored as its two tails and, for each half of the
+window (split at zero), one rule plus the sorted points that differ from it
+(its exceptions), so its size is O(exceptions) however far apart the window
+bounds lie.  Canonicalization, ``|``, ``&``, ``-`` and ``complement`` do
+residue arithmetic on the pieces (tails and halves) and visit only the
+exceptions, so each costs O(exceptions of the operands and the result +
+pieces + lcm of the periods).  Membership bisects a half's exceptions and
+cardinality counts from the halves.  Reducing a tail to its minimal period
+(``_minimal_rule``) costs O(prime factors * residues).  Rank masks
+(``rank_mask_block``) are built by residue arithmetic too: each residue
+class of a rule is one bit progression, XORed with the exceptions inside
+the requested range, so a mask takes O(residues + exceptions in range)
+Python steps plus big-integer work linear in its width.  ``first_not_in``
+over a revealed sample is a mask scan: chunks of doubling width tested
+against the sample's rank bit set, so finding rank r costs O(log r) masks.
+``prefix``, ``iter_universe_order`` and ``first_not_in`` over a predicate
+or a plain container still test one rank at a time.  Only ``window``, the
+listing that printing reads, costs O(members).
 
 The lcm of the tail periods is bounded: no operation builds a rule whose
 period, or the lcm of two periods it compares or combines, exceeds
@@ -39,7 +42,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 from math import inf, lcm
 from typing import Callable, Container, Iterable, Iterator, Protocol, Sequence
@@ -122,25 +125,46 @@ class Cardinality:
         return self.kind != "infinite"
 
 
+# A rule is a pair (period, residues): x follows it when x % period is in
+# residues.
+Rule = tuple[int, frozenset[int]]
+
+_NONE: frozenset[int] = frozenset()
+_ABSENT: Rule = (1, _NONE)
+_PRESENT: Rule = (1, frozenset({0}))
+
+
 @dataclass(frozen=True)
 class PeriodicSet:
     """An eventually periodic subset of the integers, in canonical form.
 
     Membership below ``lo`` follows ``neg_residues`` modulo ``neg_period``,
-    membership above ``hi`` follows ``pos_residues`` modulo ``pos_period``,
-    and inside ``[lo, hi]`` it is listed explicitly in ``window``.
+    and membership above ``hi`` follows ``pos_residues`` modulo
+    ``pos_period``.  The window [lo, hi] is split at zero into two halves,
+    [lo, min(hi, 0)] and [max(lo, 1), hi].  Each half follows one rule
+    (``neg_rule``, ``pos_rule``), except at its sorted exceptions
+    (``neg_exceptions``, ``pos_exceptions``), where membership is the
+    opposite of the rule's.  An empty half has the rule absent and no
+    exceptions.
 
-    Instances must be canonical: build them with :meth:`build`, the factory
-    helpers below, or Boolean operators, never with the raw constructor.
-    Canonical form is unique, so ``==`` decides set equality and instances
-    are hashable and safe to share.
+    The form is canonical: each tail is at its minimal period, lo and hi
+    are the outermost points that break the tails' rules, and each half's
+    rule is whichever of absent, present and that half's own tail has the
+    fewest exceptions, ties going to absent, then present, then the tail.
+    Each choice depends only on the set, so ``==`` over these fields decides
+    set equality, the hash agrees with it, and instances are safe to share.
+    Build them with :meth:`build`, the factory helpers below, or Boolean
+    operators, never with the raw constructor.
     """
 
     neg_period: int
     neg_residues: frozenset[int]
     lo: int
     hi: int
-    window: frozenset[int]
+    neg_rule: Rule
+    neg_exceptions: tuple[int, ...]
+    pos_rule: Rule
+    pos_exceptions: tuple[int, ...]
     pos_period: int
     pos_residues: frozenset[int]
 
@@ -210,12 +234,62 @@ class PeriodicSet:
             return x % self.neg_period in self.neg_residues
         if x > self.hi:
             return x % self.pos_period in self.pos_residues
-        return x in self.window
+        if x <= 0:
+            period, residues = self.neg_rule
+            exceptions = self.neg_exceptions
+        else:
+            period, residues = self.pos_rule
+            exceptions = self.pos_exceptions
+        if exceptions:
+            i = bisect_left(exceptions, x)
+            if i < len(exceptions) and exceptions[i] == x:
+                return x % period not in residues
+        return x % period in residues
+
+    def _halves(self) -> list[tuple[int, int, Rule, tuple[int, ...]]]:
+        """The non-empty window halves, each as (first, last, rule, exceptions)."""
+        halves = []
+        if self.lo <= 0:
+            halves.append((self.lo, min(self.hi, 0), self.neg_rule, self.neg_exceptions))
+        if self.hi >= 1:
+            halves.append((max(self.lo, 1), self.hi, self.pos_rule, self.pos_exceptions))
+        return halves
+
+    def _parts(self, lo: float, hi: float) -> Iterator[tuple[int, int, Rule, tuple[int, ...]]]:
+        """The pieces of the line (the tails and the window halves) that
+        meet [lo, hi], cut to it, each a rule plus the exceptions in it."""
+        neg, pos = (self.neg_period, self.neg_residues), (self.pos_period, self.pos_residues)
+        pieces = [(-inf, self.lo - 1, neg, ()), *self._halves(), (self.hi + 1, inf, pos, ())]
+        for first, last, rule, exceptions in pieces:
+            a, b = max(lo, first), min(hi, last)
+            if a <= b:
+                inner = exceptions[bisect_left(exceptions, a) : bisect_right(exceptions, b)]
+                yield a, b, rule, inner
+
+    @property
+    def window(self) -> tuple[int, ...]:
+        """The members in [lo, hi], in increasing order.  Derived on every
+        read, at O(members + exceptions) cost, and never stored: printing
+        and the canonical-form check read it, the algebra never does."""
+        members: list[int] = []
+        for a, b, rule, exceptions in self._halves():
+            # The rule's members between consecutive exceptions, and each
+            # exception the rule leaves out.
+            for x in (*exceptions, b + 1):
+                members += _rule_members(rule, a, x - 1)
+                if x <= b and x % rule[0] not in rule[1]:
+                    members.append(x)
+                a = x + 1
+        members.sort()  # a rule of several residues lists one run each
+        return tuple(members)
 
     def cardinality(self) -> Cardinality:
         if self.neg_residues or self.pos_residues:
             return Cardinality.infinite()
-        return Cardinality.of_count(len(self.window))
+        # With both tails empty, each half's rule is absent or present.
+        return Cardinality.of_count(
+            sum(b - a + 1 - len(e) if r[1] else len(e) for a, b, r, e in self._halves())
+        )
 
     def issubset(self, other: "PeriodicSet") -> bool:
         return (self - other).cardinality().is_empty
@@ -271,10 +345,11 @@ class PeriodicSet:
                 if not check(x):
                     return x
             return None
-        if self.cardinality().is_infinite:
+        card = self.cardinality()
+        if card.is_infinite:
             last: float = inf
         else:
-            last = max(universe_index(self.lo), universe_index(self.hi)) if self.window else 0
+            last = 0 if card.is_empty else max(universe_index(self.lo), universe_index(self.hi))
         start, width = 1, 64
         while start <= last:
             free = self.rank_mask_block(start, width) & ~(ranks >> (start - 1))
@@ -286,17 +361,15 @@ class PeriodicSet:
 
     def membership_range(self, lo: int, hi: int) -> list[bool]:
         """Membership table for every integer in [lo, hi], inclusive."""
-        if lo > hi:
-            return []
-        np_, nr = self.neg_period, self.neg_residues
-        pp, pr = self.pos_period, self.pos_residues
-        win = self.window
-        left_end = min(hi, self.lo - 1)
-        mid_end = min(hi, self.hi)
-        out = [x % np_ in nr for x in range(lo, left_end + 1)]
-        out += [x in win for x in range(max(lo, self.lo), mid_end + 1)]
-        out += [x % pp in pr for x in range(max(lo, self.hi + 1), hi + 1)]
-        return out
+        table: list[bool] = []
+        for a, b, (period, residues), exceptions in self._parts(lo, hi):
+            # One period of the rule from a, repeated over [a, b].
+            cycle = [x % period in residues for x in range(a, min(a + period, b + 1))]
+            part = (cycle * ((b - a) // period + 1))[: b - a + 1]
+            for x in exceptions:
+                part[x - a] = not part[x - a]
+            table += part
+        return table
 
     def rank_mask_block(self, start_rank: int, count: int) -> int:
         """Bitmask of membership over universe ranks [start_rank, start_rank+count).
@@ -310,46 +383,14 @@ class PeriodicSet:
         # Positive x sits at rank 2x and x <= 0 at rank 1 - 2x, so each side
         # of zero is an integer interval whose members lie on one bit stride.
         for a, b, positive in (
-            ((start_rank + 1) // 2, end // 2, True),
+            (max((start_rank + 1) // 2, 1), end // 2, True),
             (-((end - 1) // 2), -(start_rank // 2), False),
         ):
-            if positive:
-                a = max(a, 1)
-            for first, last, rule, exceptions in self._pieces:
-                lo, hi = max(a, first), min(b, last)
-                if lo > hi:
-                    continue
+            for lo, hi, rule, exceptions in self._parts(a, b):
                 bits |= _rule_bits(rule, lo, hi, positive, start_rank)
-                for x in exceptions[bisect_left(exceptions, lo) : bisect_right(exceptions, hi)]:
+                for x in exceptions:
                     bits ^= 1 << ((2 * x if positive else 1 - 2 * x) - start_rank)
         return bits
-
-    @cached_property
-    def _pieces(self) -> list[tuple[float, float, Rule, list[int]]]:
-        """The line as consecutive intervals, each a rule plus the sorted
-        points where membership differs from it: the two tails, and the
-        window split at zero (each half described by the cheapest rule)."""
-        lo, hi, window = self.lo, self.hi, self.window
-        neg_half = pos_half = window
-        if lo <= 0 < hi:
-            # Split the window at zero, enumerating its narrower side.
-            if 1 - lo <= hi:
-                neg_half = _members_in(window, lo, 0)
-                pos_half = window - neg_half
-            else:
-                pos_half = _members_in(window, 1, hi)
-                neg_half = window - pos_half
-        neg_tail = (self.neg_period, self.neg_residues)
-        pos_tail = (self.pos_period, self.pos_residues)
-        pieces = [(-inf, lo - 1, neg_tail, [])]
-        if lo <= 0:
-            end = min(hi, 0)
-            pieces.append((lo, end, *_describe(neg_half, lo, end, neg_tail)))
-        if hi >= 1:
-            start = max(lo, 1)
-            pieces.append((start, hi, *_describe(pos_half, start, hi, pos_tail)))
-        pieces.append((hi + 1, inf, pos_tail, []))
-        return pieces
 
     def span(self) -> int:
         """Crude size measure used for escalation bounds: window plus periods."""
@@ -370,41 +411,36 @@ class PeriodicSet:
 
     def complement(self) -> "PeriodicSet":
         """Complement within the full set of integers."""
+        halves = self._halves()
+        points = [x for *_, exceptions in halves for x in exceptions]
         return _settle(
-            (self.lo, self.hi + 1),
-            (
+            [first for first, *_ in halves] + [self.hi + 1],
+            [
                 _negate(self.neg_period, self.neg_residues),
-                (1, _ALL),
+                *(_negate(*rule) for _, _, rule, _ in halves),
                 _negate(self.pos_period, self.pos_residues),
-            ),
-            sorted(self.window),
-            _NONE,
+            ],
+            points,
+            frozenset(x for x in points if x not in self),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PeriodicSet(neg={self.neg_period}:{sorted(self.neg_residues)}, "
-            f"[{self.lo},{self.hi}]={sorted(self.window)}, "
-            f"pos={self.pos_period}:{sorted(self.pos_residues)})"
-        )
+        return "PeriodicSet(" + ", ".join(
+            f"[{a},{b}]={p}:{sorted(r)} except {list(e)}"
+            for a, b, (p, r), e in self._parts(-inf, inf)
+        ) + ")"
 
 
 # ----------------------------------------------------------------------
 # Canonicalization
 # ----------------------------------------------------------------------
 #
-# A rule is a pair (period, residues): x follows it when x % period is in
-# residues.  The operations below describe their result piecewise: cut
-# points split the integers into consecutive pieces, each following one
-# rule, except at finitely many listed points whose membership is given
-# explicitly.  A window is the rule "absent" with its members listed, so the
-# work is proportional to the listed points, the periods and the result,
-# never to the distance between the cut points.
-
-_NONE: frozenset[int] = frozenset()
-_ALL: frozenset[int] = frozenset({0})
-
-Rule = tuple[int, frozenset[int]]
+# The operations below describe their result piecewise: cut points split
+# the integers into consecutive pieces, each following one rule, except at
+# finitely many listed points whose membership is given explicitly.  An
+# operand contributes its tails and window halves as pieces and its
+# exceptions as points, so the work is proportional to the listed points,
+# the pieces and the periods, never to the distance between the cut points.
 
 
 def _minimal_rule(period: int, residues: frozenset[int]) -> Rule:
@@ -430,20 +466,42 @@ def _lift(residues: frozenset[int], period: int, to: int) -> frozenset[int]:
     """The same rule over ``to``, a multiple of ``period``."""
     if period == to:
         return residues
-    return frozenset(r + k for k in range(0, to, period) for r in residues)
+    return frozenset(chain.from_iterable(range(r, to, period) for r in residues))
 
 
 def _negate(period: int, residues: frozenset[int]) -> Rule:
     return period, frozenset(range(_check_period(period))) - residues
 
 
+def _pointwise(
+    op: Callable[[frozenset[int], frozenset[int]], frozenset[int]], a: Rule, b: Rule
+) -> Rule:
+    """``op`` (|, &, - or ^) applied pointwise to two rules, over the lcm of
+    their periods; a rule with no residue, or with all of them, comes back
+    as absent or present."""
+    (pa, ra), (pb, rb) = a, b
+    if pa == pb:
+        period, residues = pa, op(ra, rb)
+    else:
+        period = _check_period(lcm(pa, pb))
+        residues = op(_lift(ra, pa, period), _lift(rb, pb, period))
+    if not residues:
+        return _ABSENT
+    return _PRESENT if len(residues) == period else (period, residues)
+
+
 def _rule_at(s: PeriodicSet, x: int) -> Rule:
-    """The rule ``s`` follows at ``x``; inside the window, absent."""
+    """The rule ``s`` follows at ``x``, but for its exceptions."""
     if x < s.lo:
         return s.neg_period, s.neg_residues
     if x > s.hi:
         return s.pos_period, s.pos_residues
-    return 1, _NONE
+    return s.neg_rule if x <= 0 else s.pos_rule
+
+
+def _cuts(s: PeriodicSet) -> tuple[int, ...]:
+    """Where ``s`` changes from one tail or half to the next."""
+    return (s.lo, 1, s.hi + 1) if s.lo <= 0 < s.hi else (s.lo, s.hi + 1)
 
 
 def _first_diff(
@@ -485,16 +543,10 @@ def _rule_members(rule: Rule, lo: int, hi: int) -> Iterable[int]:
     return chain.from_iterable(range(lo + (r - lo) % period, hi + 1, period) for r in residues)
 
 
-def _members_at(s: PeriodicSet, points: list[int]) -> frozenset[int]:
-    """The members of ``s`` among the sorted ``points``."""
-    tails: list[int] = []
-    if s.neg_residues:
-        p, r = s.neg_period, s.neg_residues
-        tails += [x for x in points[: bisect_left(points, s.lo)] if x % p in r]
-    if s.pos_residues:
-        p, r = s.pos_period, s.pos_residues
-        tails += [x for x in points[bisect_right(points, s.hi) :] if x % p in r]
-    return s.window.union(tails) if tails else s.window
+def _rule_count(rule: Rule, lo: int, hi: int) -> int:
+    """The number of members of ``rule`` in [lo, hi]."""
+    period, residues = rule
+    return sum((hi - r) // period - (lo - 1 - r) // period for r in residues)
 
 
 def _violation(
@@ -560,9 +612,9 @@ def _settle(
     is [cuts[i-1], cuts[i]) and the last piece everything from ``cuts[-1]``
     up.  Piece i follows ``rules[i]``, except at the sorted ``points`` (all
     inside [cuts[0], cuts[-1])), where x is a member exactly when it is in
-    ``inside``.  Both tail rules are reduced to minimal period and the
-    window is placed at the unique tightest position, so equal sets get
-    identical field tuples.
+    ``inside``.  Both tail rules are reduced to minimal period, the window
+    is placed at the unique tightest position and each half is described by
+    ``_half``'s choice, so equal sets get identical field tuples.
 
     The window runs from the least point that breaks the negative tail's
     rule to the greatest that breaks the positive one's, each found by one
@@ -584,22 +636,70 @@ def _settle(
             c = max(b, c)
         lo = hi = c
 
-    # ``inside`` is a subset of ``points``: keep the part within [lo, hi],
-    # then add the rule members of the pieces there, minus the listed points.
-    window = inside
-    if points and (points[0] < lo or points[-1] > hi):
-        window = inside.intersection(points[bisect_left(points, lo) : bisect_right(points, hi)])
-    extra: set[int] = set()
-    for i, rule in enumerate(rules):
-        if rule[1]:
-            start = max(cuts[i - 1], lo) if i else lo
-            end = min(cuts[i] - 1, hi) if i < len(cuts) else hi
-            if start <= end:
-                extra.update(_rule_members(rule, start, end))
-    if extra:
-        extra.difference_update(points)
-        window = window.union(extra)
-    return PeriodicSet(np_, nr, lo, hi, window, pp, pr)
+    neg_rule, neg_exceptions = pos_rule, pos_exceptions = _ABSENT, ()
+    if lo <= 0:
+        neg_rule, neg_exceptions = _half(cuts, rules, points, inside, lo, min(hi, 0), (np_, nr))
+    if hi >= 1:
+        pos_rule, pos_exceptions = _half(cuts, rules, points, inside, max(lo, 1), hi, (pp, pr))
+    return PeriodicSet(np_, nr, lo, hi, neg_rule, neg_exceptions, pos_rule, pos_exceptions, pp, pr)
+
+
+def _half(
+    cuts: Sequence[int],
+    rules: Sequence[Rule],
+    points: list[int],
+    inside: frozenset[int],
+    first: int,
+    last: int,
+    tail: Rule,
+) -> tuple[Rule, tuple[int, ...]]:
+    """The rule among absent, present and ``tail`` that differs from
+    ``_settle``'s description at the fewest points of [first, last], ties
+    going to the earlier, with those points sorted.
+
+    Each rule's count is residue arithmetic per piece, corrected at the
+    listed points, and only the winner's points are listed, so the work is
+    O(pieces + lcm of the periods + listed points + the answer)."""
+    # The pieces meeting [first, last], each with the listed points at
+    # which membership differs from the piece's rule (its flips).  Absent
+    # misstates the members and present the rest; a flip is a member
+    # exactly when the piece's rule leaves it out.
+    parts = []
+    members = 0
+    i = bisect_right(cuts, first)
+    start = first
+    while start <= last:
+        end = last if i == len(cuts) else min(cuts[i] - 1, last)
+        period, residues = rule = rules[i]
+        listed = points[bisect_left(points, start) : bisect_right(points, end)]
+        if residues:
+            flips = {x for x in listed if (x in inside) != (x % period in residues)}
+        else:
+            # Absent flips at the listed members: a decoded listing, or
+            # the window of ``build``, costs one set intersection.
+            flips = inside.intersection(listed)
+        members += _rule_count(rule, start, end) + len(flips) - 2 * len(flips - inside)
+        parts.append((start, end, rule, flips))
+        start, i = end + 1, i + 1
+    width = last - first + 1
+    best, fewest = (_ABSENT, members) if 2 * members <= width else (_PRESENT, width - members)
+    if fewest and tail[0] > 1:
+        # The tail misstates a part's points where it differs from the
+        # piece's rule (their XOR), but for the flips.
+        count = 0
+        for start, end, piece, flips in parts:
+            period, residues = diff = _pointwise(operator.xor, piece, tail)
+            count += _rule_count(diff, start, end) + len(flips)
+            count -= 2 * sum(map(residues.__contains__, map(period.__rmod__, flips)))
+        if count < fewest:
+            best, fewest = tail, count
+    if not fewest:
+        return best, ()
+    exceptions: set[int] = set()
+    for start, end, piece, flips in parts:
+        diff = _pointwise(operator.xor, piece, best)
+        exceptions.update(flips.symmetric_difference(_rule_members(diff, start, end)))
+    return best, tuple(sorted(exceptions))
 
 
 def _combine(
@@ -609,28 +709,33 @@ def _combine(
 ) -> PeriodicSet:
     # ``op`` is a pointwise set operation (|, & or -).  On each piece it
     # combines the operands' rules over the lcm of their periods; at the
-    # listed members of either window it combines exact memberships.
-    cuts = sorted({a.lo, a.hi + 1, b.lo, b.hi + 1})
-    rules = []
-    for x in (cuts[0] - 1, *cuts):
-        pa, ra = _rule_at(a, x)
-        pb, rb = _rule_at(b, x)
-        if pa == pb:
-            rules.append((pa, op(ra, rb)))
-        else:
-            period = _check_period(lcm(pa, pb))
-            rules.append((period, op(_lift(ra, pa, period), _lift(rb, pb, period))))
-    points = sorted(a.window | b.window)
-    return _settle(cuts, rules, points, op(_members_at(a, points), _members_at(b, points)))
+    # exceptions of either operand it combines exact memberships.
+    cuts = sorted({*_cuts(a), *_cuts(b)})
+    rules = [_pointwise(op, _rule_at(a, x), _rule_at(b, x)) for x in (cuts[0] - 1, *cuts)]
+    points = sorted({*a.neg_exceptions, *a.pos_exceptions, *b.neg_exceptions, *b.pos_exceptions})
+    inside = op(_members_at(a, points), _members_at(b, points)) if points else _NONE
+    return _settle(cuts, rules, points, inside)
+
+
+def _members_at(s: PeriodicSet, points: list[int]) -> frozenset[int]:
+    """The members of ``s`` among the sorted ``points``, which hold all of
+    its exceptions: each piece's rule tested at the points, then XORed with
+    its exceptions."""
+    members: set[int] = set()
+    for a, b, (period, residues), exceptions in s._parts(points[0], points[-1]):
+        listed = points[bisect_left(points, a) : bisect_right(points, b)]
+        members.update(x for x in listed if x % period in residues)
+        members.symmetric_difference_update(exceptions)
+    return frozenset(members)
 
 
 # One memo of pair differences (true minus harm) for a whole game: the
 # scorer (``arena.score_step``, ``arena.judge``), ``reference_safe_generate``
 # (so the probes of ``ProbeIdentifier``), ``TelltaleGenerator`` and
 # ``ConservativePairGenerator`` all ask for the differences of the same few
-# pairs step after step.  A repeated pair returns the same instance, with its
-# ``_pieces`` already built.  ``arena.run_game`` and ``arena.rescore_trace``
-# clear it when they start, so it holds one game's pairs, not a battery's.
+# pairs step after step.  A repeated pair returns the same instance.
+# ``arena.run_game`` and ``arena.rescore_trace`` clear it when they start,
+# so it holds one game's pairs, not a battery's.
 @lru_cache(maxsize=None)
 def difference(true_lang: PeriodicSet, harm_lang: PeriodicSet) -> PeriodicSet:
     return true_lang - harm_lang
@@ -644,30 +749,6 @@ def difference(true_lang: PeriodicSet, harm_lang: PeriodicSet) -> PeriodicSet:
 # on each side of zero a residue class of a rule is one progression of bits.
 # A mask is built from such progressions, one per residue of each piece of
 # the line, plus the few points each window half lists against its rule.
-
-
-def _members_in(members: frozenset[int], a: int, b: int) -> frozenset[int]:
-    """The members in [a, b], from whichever of the two is smaller."""
-    if b - a < len(members):
-        return members.intersection(range(a, b + 1))
-    return frozenset(x for x in members if a <= x <= b)
-
-
-def _describe(members: frozenset[int], a: int, b: int, tail: Rule) -> tuple[Rule, list[int]]:
-    """The rule among absent, present and ``tail`` that differs from
-    ``members`` at the fewest points of [a, b], with those points sorted.
-    Work is proportional to ``members``: a rule whose members in [a, b]
-    outnumber them twice over cannot win and is never enumerated."""
-    best: tuple[Rule, frozenset[int] | set[int]] = ((1, _NONE), members)
-    width = b - a + 1
-    if width < 2 * len(members):
-        best = ((1, _ALL), set(range(a, b + 1)).difference(members))
-    period, residues = tail
-    if best[1] and residues and (width // period) * len(residues) <= 2 * len(members):
-        exceptions = members.symmetric_difference(_rule_members(tail, a, b))
-        if len(exceptions) < len(best[1]):
-            best = (tail, exceptions)
-    return best[0], sorted(best[1])
 
 
 def _rule_bits(rule: Rule, a: int, b: int, positive: bool, start: int) -> int:
@@ -731,7 +812,7 @@ def y_set(a: int) -> PeriodicSet:
     """Grammar atom Y(-a): the block {-a, ..., 0} together with E (a >= 0)."""
     if a < 0:
         raise ValueError("Y parameter must be >= 0")
-    return PeriodicSet.finite(range(-a, 1)) | even_nonnegatives()
+    return PeriodicSet.ray(-a, 1) - odd_positives()
 
 
 def q_set(b: int) -> PeriodicSet:

@@ -260,27 +260,17 @@ def diagonal_trap_collections() -> tuple[LanguageCollection, LanguageCollection]
     what lets the diagonal adversary keep revising forever.
     """
 
-    no_residues: frozenset[int] = frozenset()
-
     def true_rule(i: int) -> PeriodicSet:
         if i == 1:
             return even_nonnegatives()
         hole = 2 * (i - 1)
-        # Canonical form of E minus {hole}, built directly: constructing
-        # thousands of these via set operations dominates the long runs.
-        return PeriodicSet(
-            1, no_residues, 0, hole, frozenset(range(0, hole, 2)), 2, frozenset({0})
-        )
+        return even_nonnegatives() - PeriodicSet.finite({hole})
 
     def harm_rule(i: int) -> PeriodicSet:
         if i == 1:
             return naturals()
         hole = 2 * (i - 1)
-        # Canonical form of the naturals minus the even ray from hole + 2:
-        # the block [0, hole] followed by the odd positive tail.
-        return PeriodicSet(
-            1, no_residues, 0, hole, frozenset(range(0, hole + 1)), 2, frozenset({1})
-        )
+        return naturals() - PeriodicSet.ray(hole + 2, 2)
 
     return (
         LanguageCollection("diag-trap-true", true_rule),

@@ -83,10 +83,13 @@ def check_pair(a: PeriodicSet, b: PeriodicSet, c: PeriodicSet) -> str | None:
     lo, hi = _oracle_window(a, b)
     table_a = a.membership_range(lo, hi)
     table_b = b.membership_range(lo, hi)
+    # Each operation is computed once and its result checked by every
+    # property below that names it.
+    union, meet, diff = a | b, a & b, a - b
     ops = [
-        ("union", a | b, [p or q for p, q in zip(table_a, table_b)]),
-        ("intersection", a & b, [p and q for p, q in zip(table_a, table_b)]),
-        ("difference", a - b, [p and not q for p, q in zip(table_a, table_b)]),
+        ("union", union, [p or q for p, q in zip(table_a, table_b)]),
+        ("intersection", meet, [p and q for p, q in zip(table_a, table_b)]),
+        ("difference", diff, [p and not q for p, q in zip(table_a, table_b)]),
     ]
     for name, result, expected in ops:
         if result.membership_range(lo, hi) != expected:
@@ -95,13 +98,13 @@ def check_pair(a: PeriodicSet, b: PeriodicSet, c: PeriodicSet) -> str | None:
         if failure:
             return f"{name} result {failure}"
 
-    for s in (a, a - b):
+    for s in (a, diff):
         failure = check_mask(s)
         if failure:
             return failure
 
     # Cardinality classification against brute force.
-    for s in (a, b, a - b):
+    for s in (a, b, diff):
         card = s.cardinality()
         count = sum(s.membership_range(*_oracle_window(s)))
         if card.is_infinite:
@@ -118,17 +121,18 @@ def check_pair(a: PeriodicSet, b: PeriodicSet, c: PeriodicSet) -> str | None:
         return "canonical equality disagrees with pointwise agreement"
 
     # Algebra laws.
-    if a | b != b | a or a & b != b & a:
+    if union != b | a or meet != b & a:
         return "commutativity failed"
-    if (a | b) | c != a | (b | c):
+    if union | c != a | (b | c):
         return "union associativity failed"
-    if (a & b) & c != a & (b & c):
+    if meet & c != a & (b & c):
         return "intersection associativity failed"
-    if (a | b).complement() != a.complement() & b.complement():
+    not_a, not_b = a.complement(), b.complement()
+    if union.complement() != not_a & not_b:
         return "De Morgan (union) failed"
-    if (a & b).complement() != a.complement() | b.complement():
+    if meet.complement() != not_a | not_b:
         return "De Morgan (intersection) failed"
-    if a - b != a & b.complement():
+    if diff != a & not_b:
         return "difference != intersection with complement"
 
     # Prefix growth.

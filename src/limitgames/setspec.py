@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 
 from .algebra import (
-    _NONE,
+    _ABSENT,
     PeriodicSet,
     PeriodLimitError,
     _settle,
@@ -218,7 +218,7 @@ def _parse_printed(text: str) -> PeriodicSet | None:
     rules = []
     for starts, period_set in zip(sides, periods):
         if not starts:
-            rules.append((1, _NONE))
+            rules.append(_ABSENT)
             continue
         if len(period_set) != 1:
             return None
@@ -236,7 +236,7 @@ def _parse_printed(text: str) -> PeriodicSet | None:
     hi = min(pos) if pos else points[-1] + 1 if points else lo
     if lo > hi or points and not (lo <= points[0] and points[-1] < hi):
         return None
-    return _settle((lo, hi), (rules[0], (1, _NONE), rules[1]), points, frozenset(points))
+    return _settle((lo, hi), (rules[0], _ABSENT, rules[1]), points, frozenset(points))
 
 
 def format_set(s: PeriodicSet) -> str:
@@ -246,8 +246,9 @@ def format_set(s: PeriodicSet) -> str:
         # Highest value below the window with this residue, descending ray.
         v = s.lo - 1 - ((s.lo - 1 - r) % s.neg_period)
         parts.append(f"Ray({v},{-s.neg_period})")
-    if s.window:
-        parts.append("Fin{" + ",".join(str(x) for x in sorted(s.window)) + "}")
+    window = s.window
+    if window:
+        parts.append("Fin{" + ",".join(map(repr, window)) + "}")
     for r in sorted(s.pos_residues):
         v = s.hi + 1 + ((r - s.hi - 1) % s.pos_period)
         parts.append(f"Ray({v},{s.pos_period})")

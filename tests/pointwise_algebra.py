@@ -4,7 +4,7 @@ These are the original width-proportional implementations: they test
 membership one integer at a time over a window widened by both tail
 periods.  They are slow but obviously correct, and the differential tests
 compare the residue-arithmetic operations of ``limitgames.algebra`` with
-them field for field.
+them field for field: each returns the canonical form's field tuple.
 """
 
 from __future__ import annotations
@@ -24,6 +24,29 @@ def minimal_rule(period: int, residues: frozenset[int]) -> tuple[int, frozenset[
     return period, residues
 
 
+ABSENT = (1, frozenset())
+PRESENT = (1, frozenset({0}))
+
+
+def describe_half(
+    mem: Callable[[int], bool], first: int, last: int, tail: tuple[int, frozenset[int]]
+) -> tuple[tuple[int, frozenset[int]], tuple[int, ...]]:
+    """The rule among absent, present and ``tail`` that differs from ``mem``
+    at the fewest points of [first, last], ties going to the earlier, with
+    those points; every point is tested against every rule."""
+    best = ABSENT, ()
+    if first > last:
+        return best
+    fewest = None
+    for period, residues in (ABSENT, PRESENT, tail):
+        exceptions = tuple(
+            x for x in range(first, last + 1) if mem(x) != (x % period in residues)
+        )
+        if fewest is None or len(exceptions) < fewest:
+            best, fewest = ((period, residues), exceptions), len(exceptions)
+    return best
+
+
 def canonicalize(
     neg_period: int,
     neg_residues: frozenset[int],
@@ -32,7 +55,10 @@ def canonicalize(
     window: frozenset[int],
     pos_period: int,
     pos_residues: frozenset[int],
-) -> PeriodicSet:
+) -> tuple:
+    """The canonical form's fields, in the order of the differential tests'
+    ``fields``: the seven of the listed form (tails, bounds and the window's
+    members in increasing order), then each half's rule and exceptions."""
     np_, nr = minimal_rule(neg_period, frozenset(neg_residues))
     pp, pr = minimal_rule(pos_period, frozenset(pos_residues))
     window = frozenset(window)
@@ -83,11 +109,13 @@ def canonicalize(
             c = max(b, c)
         new_lo = new_hi = c
 
-    new_window = frozenset(x for x in range(new_lo, new_hi + 1) if mem(x))
-    return PeriodicSet(np_, nr, new_lo, new_hi, new_window, pp, pr)
+    new_window = tuple(x for x in range(new_lo, new_hi + 1) if mem(x))
+    neg_half = describe_half(mem, new_lo, min(new_hi, 0), (np_, nr))
+    pos_half = describe_half(mem, max(new_lo, 1), new_hi, (pp, pr))
+    return (np_, nr, new_lo, new_hi, new_window, pp, pr, *neg_half, *pos_half)
 
 
-def combine(a: PeriodicSet, b: PeriodicSet, op: Callable[[bool, bool], bool]) -> PeriodicSet:
+def combine(a: PeriodicSet, b: PeriodicSet, op: Callable[[bool, bool], bool]) -> tuple:
     np_ = lcm(a.neg_period, b.neg_period)
     pp = lcm(a.pos_period, b.pos_period)
     nr = frozenset(
@@ -106,22 +134,22 @@ def combine(a: PeriodicSet, b: PeriodicSet, op: Callable[[bool, bool], bool]) ->
     return canonicalize(np_, nr, lo, hi, win, pp, pr)
 
 
-def union(a: PeriodicSet, b: PeriodicSet) -> PeriodicSet:
+def union(a: PeriodicSet, b: PeriodicSet) -> tuple:
     return combine(a, b, lambda p, q: p or q)
 
 
-def intersection(a: PeriodicSet, b: PeriodicSet) -> PeriodicSet:
+def intersection(a: PeriodicSet, b: PeriodicSet) -> tuple:
     return combine(a, b, lambda p, q: p and q)
 
 
-def difference(a: PeriodicSet, b: PeriodicSet) -> PeriodicSet:
+def difference(a: PeriodicSet, b: PeriodicSet) -> tuple:
     return combine(a, b, lambda p, q: p and not q)
 
 
-def complement(s: PeriodicSet) -> PeriodicSet:
+def complement(s: PeriodicSet) -> tuple:
     nr = frozenset(r for r in range(s.neg_period) if r not in s.neg_residues)
     pr = frozenset(r for r in range(s.pos_period) if r not in s.pos_residues)
-    win = frozenset(x for x in range(s.lo, s.hi + 1) if x not in s.window)
+    win = frozenset(range(s.lo, s.hi + 1)).difference(s.window)
     return canonicalize(s.neg_period, nr, s.lo, s.hi, win, s.pos_period, pr)
 
 

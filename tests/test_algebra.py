@@ -213,7 +213,8 @@ def test_period_limit():
         PeriodicSet.ray(0, 300) | PeriodicSet.ray(0, 301)
     with pytest.raises(PeriodLimitError, match="90300"):
         PeriodicSet.ray(-1, -300) | PeriodicSet.ray(0, 301)
-    raw = PeriodicSet(10**9, frozenset({0}), 0, 0, frozenset(), 1, frozenset())
+    absent = (1, frozenset())
+    raw = PeriodicSet(10**9, frozenset({0}), 0, 0, absent, (), absent, (), 1, frozenset())
     with pytest.raises(PeriodLimitError):
         raw.complement()
     # At the limit the operations still run.

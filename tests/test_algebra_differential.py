@@ -7,6 +7,7 @@ wide but sparsely listed; a width-proportional implementation would take
 minutes on them instead of milliseconds.
 """
 
+import dataclasses
 import itertools
 import random
 from bisect import bisect_right
@@ -23,16 +24,21 @@ from limitgames.algebra import (
     _violation,
     all_integers,
     even_nonnegatives,
+    naturals,
     negative_integers,
     odd_positives,
     q_set,
     y_set,
 )
+from limitgames.families import diagonal_trap_collections
 from limitgames.fuzz import random_set
-from limitgames.setspec import parse
+from limitgames.setspec import format_set, parse
 
 
 def fields(s: PeriodicSet) -> tuple:
+    """The listed form's fields (tails, bounds and the window's members in
+    increasing order), then the stored halves, as ``ref.canonicalize``
+    returns them."""
     return (
         s.neg_period,
         s.neg_residues,
@@ -41,14 +47,18 @@ def fields(s: PeriodicSet) -> tuple:
         s.window,
         s.pos_period,
         s.pos_residues,
+        s.neg_rule,
+        s.neg_exceptions,
+        s.pos_rule,
+        s.pos_exceptions,
     )
 
 
 def assert_ops_match(a: PeriodicSet, b: PeriodicSet) -> None:
-    assert fields(a | b) == fields(ref.union(a, b)), (a, b)
-    assert fields(a & b) == fields(ref.intersection(a, b)), (a, b)
-    assert fields(a - b) == fields(ref.difference(a, b)), (a, b)
-    assert fields(a.complement()) == fields(ref.complement(a)), a
+    assert fields(a | b) == ref.union(a, b), (a, b)
+    assert fields(a & b) == ref.intersection(a, b), (a, b)
+    assert fields(a - b) == ref.difference(a, b), (a, b)
+    assert fields(a.complement()) == ref.complement(a), a
 
 
 def widened(s: PeriodicSet, left: int, right: int, neg_factor: int, pos_factor: int):
@@ -69,7 +79,7 @@ def widened(s: PeriodicSet, left: int, right: int, neg_factor: int, pos_factor: 
 def assert_build_matches(s: PeriodicSet, *widening: int) -> None:
     desc = widened(s, *widening)
     built = PeriodicSet.build(*desc)
-    assert fields(built) == fields(ref.canonicalize(*desc)) == fields(s), (s, widening)
+    assert fields(built) == ref.canonicalize(*desc) == fields(s), (s, widening)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -100,7 +110,7 @@ def test_arbitrary_descriptions_match_pointwise_canonicalize():
             pp,
             frozenset(r for r in range(pp) if rng.random() < 0.5),
         )
-        assert fields(PeriodicSet.build(*desc)) == fields(ref.canonicalize(*desc)), desc
+        assert fields(PeriodicSet.build(*desc)) == ref.canonicalize(*desc), desc
 
 
 def test_minimal_rule_matches_pointwise_form():
@@ -171,7 +181,7 @@ def test_settle_matches_pointwise_canonicalize():
         window = frozenset(x for x in range(lo, hi + 1) if member(x))
         expected = ref.canonicalize(*rules[0], lo, hi, window, *rules[-1])
         got = _settle(cuts, rules, points, inside)
-        assert fields(got) == fields(expected), (cuts, rules, points, inside)
+        assert fields(got) == expected, (cuts, rules, points, inside)
         for step, tail in ((1, rules[0]), (-1, rules[-1])):
             found = _violation(cuts, rules, points, inside, _minimal_rule(*tail), step)
             reached.add((step, phase(found, points, step)))
@@ -239,27 +249,98 @@ def test_widest_operands_match_pointwise_forms():
     assert_build_matches(PeriodicSet.ray(-100_000, -3), 7, 2, 1, 3)
 
 
+ABSENT, PRESENT = (1, frozenset()), (1, frozenset({0}))
+
+
 def test_scaling_q_set():
     assert fields(q_set(10**9)) == (
-        1, frozenset({0}), -999_999_999, -1, frozenset(), 2, frozenset({1}),
+        1, frozenset({0}), -999_999_999, -1, (), 2, frozenset({1}),
+        ABSENT, (), ABSENT, (),
     )
+
+
+def stored(s: PeriodicSet) -> tuple:
+    return tuple(getattr(s, f.name) for f in dataclasses.fields(s))
+
+
+def test_scaling_sets_are_stored_without_a_listing(monkeypatch):
+    # Each of these windows holds about 10**9 members, so listing one would
+    # not finish; reading ``window`` fails the test instead.
+    def no_listing(self):
+        raise AssertionError("window listed")
+
+    monkeypatch.setattr(PeriodicSet, "window", property(no_listing))
+    n = 10**9
+    y_fields = (1, frozenset(), -n, -1, PRESENT, (), ABSENT, (), 2, frozenset({0}))
+    for y in (y_set(n), parse("Y(-1000000000)")):
+        assert stored(y) == y_fields
+        assert [x in y for x in (-n - 1, -n, -1, 0, 1, 2)] == [
+            False, True, True, True, False, True,
+        ]
+        assert y.cardinality().is_infinite
+    assert (y_set(n) - even_nonnegatives()).cardinality().count == n
+
+    true_coll, harm_coll = diagonal_trap_collections()
+    hole = 2 * (5 * 10**8 - 1)
+    true_lang, harm_lang = true_coll.at(5 * 10**8), harm_coll.at(5 * 10**8)
+    assert stored(true_lang) == (
+        1, frozenset(), 0, hole, PRESENT, (), (2, frozenset({0})), (hole,), 2, frozenset({0}),
+    )
+    assert [x in true_lang for x in (-1, 0, 1, hole - 2, hole, hole + 1, hole + 2)] == [
+        False, True, False, True, False, False, True,
+    ]
+    assert stored(harm_lang) == (
+        1, frozenset(), 0, hole, PRESENT, (), PRESENT, (), 2, frozenset({1}),
+    )
+    assert [x in harm_lang for x in (-1, 0, hole - 1, hole, hole + 1, hole + 2)] == [
+        False, True, True, True, True, False,
+    ]
+    assert true_lang.cardinality().is_infinite and harm_lang.cardinality().is_infinite
+    assert (harm_lang - PeriodicSet.ray(hole + 1, 1)).cardinality().count == hole + 1
+
+
+def test_one_membership_along_different_paths():
+    # The diagonal trap's languages at index i, built along other operation
+    # sequences and through the printed form, compare and hash equal, so any
+    # memo keyed by sets finds them.
+    true_coll, harm_coll = diagonal_trap_collections()
+    evens = even_nonnegatives()
+    for i in (2, 3, 50):
+        hole = 2 * (i - 1)
+        harm = naturals() - PeriodicSet.ray(hole + 2, 2)
+        assert harm_coll.at(i) == harm and hash(harm_coll.at(i)) == hash(harm)
+        diagonal = true_coll.at(i)
+        paths = [
+            evens - PeriodicSet.finite({hole}),
+            (evens | PeriodicSet.finite({hole})) - PeriodicSet.finite({hole}),
+            evens & PeriodicSet.finite({hole}).complement(),
+            PeriodicSet.build(1, (), 0, hole, range(0, hole, 2), 2, {0}),
+            parse(format_set(diagonal)),
+        ]
+        for other in paths:
+            assert other == diagonal and hash(other) == hash(diagonal)
+            assert fields(other) == fields(diagonal)
 
 
 def test_scaling_finite_pair():
     assert fields(parse("Fin{0,1000000000}")) == (
-        1, frozenset(), 0, 10**9, frozenset({0, 10**9}), 1, frozenset(),
+        1, frozenset(), 0, 10**9, (0, 10**9), 1, frozenset(),
+        PRESENT, (), ABSENT, (10**9,),
     )
 
 
 def test_scaling_far_rays():
     assert fields(parse("Ray(-1000000000,-1) | Ray(1000000000,1)")) == (
-        1, frozenset({0}), -999_999_999, 999_999_999, frozenset(), 1, frozenset({0}),
+        1, frozenset({0}), -999_999_999, 999_999_999, (), 1, frozenset({0}),
+        ABSENT, (), ABSENT, (),
     )
 
 
 def test_scaling_difference():
     result = q_set(10**9) - negative_integers()
-    assert fields(result) == (1, frozenset(), 0, 0, frozenset(), 2, frozenset({1}))
+    assert fields(result) == (
+        1, frozenset(), 0, 0, (), 2, frozenset({1}), ABSENT, (), ABSENT, (),
+    )
     assert result == odd_positives()
 
 

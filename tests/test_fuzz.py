@@ -38,12 +38,20 @@ def test_random_sets_respect_bounds():
 def test_check_canonical_catches_bad_instances():
     # Raw constructor bypasses canonicalization: a period-2 rule with both
     # residues active is really period 1.
-    bad = PeriodicSet(2, frozenset({0, 1}), 0, 0, frozenset(), 2, frozenset())
+    absent = (1, frozenset())
+    bad = PeriodicSet(2, frozenset({0, 1}), 0, 0, absent, (), absent, (), 2, frozenset())
     message = check_canonical(bad)
     assert message is not None and "canonical" in message
     # A window cell that just restates the tail rule must be absorbed.
-    bad2 = PeriodicSet(1, frozenset(), -2, 2, frozenset({2}), 2, frozenset({0}))
+    bad2 = PeriodicSet(
+        1, frozenset(), -2, 2, absent, (), absent, (2,), 2, frozenset({0})
+    )
     assert check_canonical(bad2) is not None
+    # A half described against a rule other than the one with the fewest
+    # exceptions: [1, 3] lists all three members against absent, where
+    # present lists none.
+    bad3 = PeriodicSet(1, frozenset(), 0, 3, absent, (0,), absent, (1, 2, 3), 1, frozenset())
+    assert check_canonical(bad3) is not None
 
 
 def test_check_mask_catches_a_wrong_mask(monkeypatch):

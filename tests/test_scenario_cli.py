@@ -64,6 +64,23 @@ def test_unknown_kinds_rejected():
         parse_scenario(bad)
 
 
+def test_diagonal_adversary_rejects_a_pair_that_is_not_a_trap():
+    # The built-in trap pair loads; swapped, or with another collection,
+    # its vanishing-difference check fails at load.
+    parse_scenario(catalogue_scenario("oracle_not_enough.json"))
+    for true_kind, harm_kind in (
+        ("diagonal_trap_harm", "diagonal_trap_true"),
+        ("identification_trap_true", "diagonal_trap_harm"),
+    ):
+        bad = catalogue_scenario(
+            "oracle_not_enough.json",
+            true_collection={"kind": true_kind},
+            harm_collection={"kind": harm_kind},
+        )
+        with pytest.raises(ScenarioError, match="adversary"):
+            parse_scenario(bad)
+
+
 def test_telltale_collection_config(play):
     spec, result, _ = play("telltale_bottom.json")
     assert spec.true_coll.telltales == {1: frozenset({1}), 2: frozenset({0})}
