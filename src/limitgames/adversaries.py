@@ -7,7 +7,7 @@ answer before choosing its next emission.  Every adversary exposes the
 scored even when the committed pair keeps moving.
 
 All emissions are truthfully labeled against the committed pair in force at
-the moment of emission; the arena asserts this every step.
+the moment of emission; the arena's referee checks this every step.
 """
 
 from __future__ import annotations

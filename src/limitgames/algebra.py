@@ -411,18 +411,7 @@ class PeriodicSet:
 
     def complement(self) -> "PeriodicSet":
         """Complement within the full set of integers."""
-        halves = self._halves()
-        points = [x for *_, exceptions in halves for x in exceptions]
-        return _settle(
-            [first for first, *_ in halves] + [self.hi + 1],
-            [
-                _negate(self.neg_period, self.neg_residues),
-                *(_negate(*rule) for _, _, rule, _ in halves),
-                _negate(self.pos_period, self.pos_residues),
-            ],
-            points,
-            frozenset(x for x in points if x not in self),
-        )
+        return _combine(all_integers(), self, operator.sub)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "PeriodicSet(" + ", ".join(
@@ -467,10 +456,6 @@ def _lift(residues: frozenset[int], period: int, to: int) -> frozenset[int]:
     if period == to:
         return residues
     return frozenset(chain.from_iterable(range(r, to, period) for r in residues))
-
-
-def _negate(period: int, residues: frozenset[int]) -> Rule:
-    return period, frozenset(range(_check_period(period))) - residues
 
 
 def _pointwise(
@@ -734,8 +719,8 @@ def _members_at(s: PeriodicSet, points: list[int]) -> frozenset[int]:
 # (so the probes of ``ProbeIdentifier``), ``TelltaleGenerator`` and
 # ``ConservativePairGenerator`` all ask for the differences of the same few
 # pairs step after step.  A repeated pair returns the same instance.
-# ``arena.run_game`` and ``arena.rescore_trace`` clear it when they start,
-# so it holds one game's pairs, not a battery's.
+# The arena's referee clears it when a game or a replay starts, so it
+# holds one game's pairs, not a battery's.
 @lru_cache(maxsize=None)
 def difference(true_lang: PeriodicSet, harm_lang: PeriodicSet) -> PeriodicSet:
     return true_lang - harm_lang

@@ -5,9 +5,14 @@ the adversary emits a labeled example, the learner observes the grown
 sample and answers, the answer is scored against the adversary's currently
 committed pair, and only then does the adversary observe the answer.
 
+One referee (``_Referee``) checks each step's row against the rules of the
+game and scores it, in play (``run_game``) and in replay (``rescored``) alike.
+
 "In the limit" is finitized as a trailing window: a run converges when its
 final ``window`` steps are all correct.  Runs are fully deterministic, so a
-trace serializes to byte-stable JSONL and can be re-scored offline.
+trace serializes to byte-stable JSONL and can be re-scored offline.  It
+streams one line at a time both ways: ``Trace.lines`` is the one encoder and
+``read_trace`` the one decoder.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .adversaries import Adversary
 from .algebra import PeriodicSet, difference
@@ -43,11 +48,6 @@ class ScenarioError(ValueError):
 
 class TraceRuleError(ValueError):
     """Raised when a well-formed trace breaks a rule of the game."""
-
-
-def in_labelled_side(example: LabeledExample, pair: tuple[PeriodicSet, PeriodicSet]) -> bool:
-    """Does the example's element lie in the side of ``pair`` its label names?"""
-    return example.element in pair[0 if example.label == 1 else 1]
 
 
 def score_step(
@@ -80,15 +80,16 @@ def score_step(
                 return True
             return w in true_lang and w not in harm_lang and not seen.contains(w)
         return False
-    if kind is GameKind.SI:
+    if kind in (GameKind.SI, GameKind.LI):
         if not output.is_index or true_coll is None:
             return False
-        return true_coll.at(output.value) == difference(true_lang, harm_lang)
-    if kind is GameKind.LI:
-        if not output.is_index or true_coll is None:
-            return False
-        return true_coll.at(output.value) == true_lang
+        return true_coll.at(output.value) == _identification_target(kind, true_lang, harm_lang)
     raise ScenarioError(f"unknown game kind {kind!r}")
+
+
+def _identification_target(kind: GameKind, true_lang: PeriodicSet, harm_lang: PeriodicSet):
+    """The language an identification game asks for: true minus harm in ``si``, true in ``li``."""
+    return difference(true_lang, harm_lang) if kind is GameKind.SI else true_lang
 
 
 @dataclass(frozen=True)
@@ -139,18 +140,19 @@ class Trace:
     steps: list[StepRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "schema": TRACE_SCHEMA,
-                    "scenario": self.scenario,
-                    "game": self.game.value,
-                    "horizon": self.horizon,
-                    "window": self.window,
-                },
-                sort_keys=True,
-            )
-        ]
+        return "".join(self.lines())
+
+    def lines(self) -> Iterator[str]:
+        """The JSONL encoding one line at a time, each ending in a newline:
+        the header, then each step's row."""
+        head = {
+            "schema": TRACE_SCHEMA,
+            "scenario": self.scenario,
+            "game": self.game.value,
+            "horizon": self.horizon,
+            "window": self.window,
+        }
+        yield json.dumps(head, sort_keys=True) + "\n"
         for s in self.steps:
             row: dict[str, object] = {
                 "t": s.t,
@@ -164,33 +166,40 @@ class Trace:
             }
             if s.pair is not None:
                 row["pair"] = [format_set(s.pair[0]), format_set(s.pair[1])]
-            lines.append(json.dumps(row, sort_keys=True))
-        return "\n".join(lines) + "\n"
+            yield json.dumps(row, sort_keys=True) + "\n"
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
-        """Decode a trace; a malformed row raises ScenarioError naming its
-        line number and field."""
-        rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-        if not rows:
-            raise ScenarioError("empty trace file")
-        trace = None
-        for n, ln in rows:
-            try:
-                row = json.loads(ln)
-                if not isinstance(row, dict):
-                    raise ScenarioError("a row must be a JSON object")
-                if trace is None:
-                    trace = _decode_head(row)
-                else:
-                    trace.steps.append(_decode_step(row))
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"trace line {n}: not valid JSON ({exc.msg})") from None
-            except KeyError as exc:
-                raise ScenarioError(f"trace line {n}: missing field {exc.args[0]!r}") from None
-            except ScenarioError as exc:
-                raise ScenarioError(f"trace line {n}: {exc}") from None
+        """Decode a whole trace (see ``read_trace``)."""
+        trace, rows = read_trace(text.splitlines())
+        trace.steps.extend(rows)
         return trace
+
+
+def read_trace(lines: Iterable[str]) -> tuple[Trace, Iterator[StepRecord]]:
+    """The header, decoded at once with no steps, and the step rows, decoded
+    lazily.  Blank lines are skipped; a malformed line raises ScenarioError
+    naming its line number and field when it is reached."""
+    numbered = ((n, ln) for n, ln in enumerate(lines, start=1) if ln.strip())
+    first = next(numbered, None)
+    if first is None:
+        raise ScenarioError("empty trace file")
+    trace = _decode_line(*first, _decode_head)
+    return trace, (_decode_line(n, ln, _decode_step) for n, ln in numbered)
+
+
+def _decode_line(n: int, line: str, decode: Callable[[dict], object]):
+    try:
+        row = json.loads(line)
+        if not isinstance(row, dict):
+            raise ScenarioError("a row must be a JSON object")
+        return decode(row)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"trace line {n}: not valid JSON ({exc.msg})") from None
+    except KeyError as exc:
+        raise ScenarioError(f"trace line {n}: missing field {exc.args[0]!r}") from None
+    except ScenarioError as exc:
+        raise ScenarioError(f"trace line {n}: {exc}") from None
 
 
 _OUTPUT_KINDS = ("generate", "bottom", "index")
@@ -292,34 +301,21 @@ class RunResult:
 def run_game(spec: ScenarioSpec) -> RunResult:
     """Play the game to the horizon and judge the trailing window."""
     spec.validate()
-    difference.cache_clear()
+    referee = _Referee(spec.game, spec.horizon, spec.true_coll)
     adversary = spec.adversary_factory()
     learner = spec.learner_factory()
-    revealed = RevealedSet()
     trace = Trace(spec.name, spec.game, spec.horizon, spec.window)
-    last_pair: tuple[PeriodicSet, PeriodicSet] | None = None
     for t in range(1, spec.horizon + 1):
         emission = adversary.emit(t)
-        true_lang, harm_lang = adversary.current_pair()
-        example = emission.example
-        if not in_labelled_side(example, (true_lang, harm_lang)):
-            raise AssertionError(
-                f"untruthful emission at step {t}: {example} not in committed side"
-            )
-        phase = adversary.phase
-        revealed.add(example)
-        output = learner.step(revealed, t)
-        correct = score_step(
-            spec.game, output, true_lang, harm_lang, revealed, spec.true_coll
-        )
+        pair = adversary.current_pair()
+        new_pair = pair if pair != referee.pair else None
+        example, phase = emission.example, adversary.phase
+        output = learner.step(referee.reveal(t, example, phase, new_pair), t)
+        correct = referee.score(output)
         adversary.observe(output)
-        pair_field = None
-        if last_pair != (true_lang, harm_lang):
-            pair_field = (true_lang, harm_lang)
-            last_pair = pair_field
         trace.steps.append(
             StepRecord(t, example.element, example.label, emission.injected,
-                       output, correct, phase, pair_field)
+                       output, correct, phase, new_pair)
         )
     verdict = judge(trace, adversary, spec)
     return RunResult(trace, verdict, learner, adversary)
@@ -327,29 +323,18 @@ def run_game(spec: ScenarioSpec) -> RunResult:
 
 def judge(trace: Trace, adversary: Adversary, spec: ScenarioSpec) -> Verdict:
     flags = [s.correct for s in trace.steps]
-    window = spec.window
-    tail = flags[-window:]
+    tail = flags[-spec.window :]
     converged = all(tail)
-    convergence_step = None
-    if converged:
-        last_bad = 0
-        for i, ok in enumerate(flags, start=1):
-            if not ok:
-                last_bad = i
-        convergence_step = last_bad + 1
+    # A converged run's all-correct suffix starts just after its last wrong step.
+    last_bad = max((t for t, ok in enumerate(flags, start=1) if not ok), default=0)
     target_index = None
-    if spec.game in (GameKind.SI, GameKind.LI) and spec.true_coll is not None:
-        true_lang, harm_lang = adversary.current_pair()
-        target = (
-            difference(true_lang, harm_lang) if spec.game is GameKind.SI else true_lang
-        )
-        for i in range(1, spec.true_coll.candidate_count(spec.horizon) + 1):
-            if spec.true_coll.at(i) == target:
-                target_index = i
-                break
+    if spec.game in (GameKind.SI, GameKind.LI) and (coll := spec.true_coll) is not None:
+        target = _identification_target(spec.game, *adversary.current_pair())
+        count = coll.candidate_count(spec.horizon)
+        target_index = next((i for i in range(1, count + 1) if coll.at(i) == target), None)
     return Verdict(
         converged=converged,
-        convergence_step=convergence_step,
+        convergence_step=last_bad + 1 if converged else None,
         correct_in_final_window=sum(tail),
         phase_transitions=adversary.phase - 1,
         target_index=target_index,
@@ -358,43 +343,68 @@ def judge(trace: Trace, adversary: Adversary, spec: ScenarioSpec) -> Verdict:
     )
 
 
-def rescore_trace(
-    trace: Trace, true_coll: LanguageCollection | None = None
-) -> list[bool]:
-    """Recompute per-step correctness of a stored trace from its own records,
-    raising TraceRuleError at the first step that breaks a rule of the game:
-    ``t`` out of sequence, a falling ``phase``, an element outside its
-    labelled side, or a row count other than the header's ``horizon``."""
-    difference.cache_clear()
-    revealed = RevealedSet()
-    pair: tuple[PeriodicSet, PeriodicSet] | None = None
-    phase = -inf
-    out: list[bool] = []
-    for t, s in enumerate(trace.steps, start=1):
-        if s.pair is not None:
-            pair = s.pair
-        if pair is None:
+class _Referee:
+    """One game's rules for its rows, and its scoring against the pair in
+    force.  Building one clears the pair-difference memo, so that the memo
+    holds one game's pairs."""
+
+    def __init__(self, kind: GameKind, horizon: int, true_coll: LanguageCollection | None):
+        difference.cache_clear()
+        self.kind, self.horizon, self.true_coll = kind, horizon, true_coll
+        self.revealed = RevealedSet()
+        self.pair: tuple[PeriodicSet, PeriodicSet] | None = None
+        self.phase: float = -inf
+
+    def reveal(self, t: int, example: LabeledExample, phase: int, pair=None) -> RevealedSet:
+        """Check the next step's row, which commits to ``pair`` if that
+        changed, and reveal its example.  A broken rule raises TraceRuleError:
+        ``t`` out of sequence or past the horizon, a falling ``phase``, or an
+        element outside the side of the pair in force that its label names."""
+        if pair is not None:
+            self.pair = pair
+        if self.pair is None:
             raise ScenarioError("trace does not declare the committed pair")
-        if s.t != t:
-            raise TraceRuleError(f"step {t}: t is {s.t}; t must run 1, 2, ... without gaps")
-        if s.phase < phase:
-            raise TraceRuleError(f"step {t}: phase falls from {phase} to {s.phase}")
-        example = LabeledExample(s.element, s.label)
-        if not in_labelled_side(example, pair):
-            side = "true" if s.label == 1 else "harm"
+        step = self.revealed.step + 1
+        if step > self.horizon:
+            raise TraceRuleError(f"step {step}: the trace runs past its header's horizon")
+        if t != step:
+            raise TraceRuleError(f"step {step}: t is {t}; t must run 1, 2, ... without gaps")
+        if phase < self.phase:
+            raise TraceRuleError(f"step {step}: phase falls from {self.phase} to {phase}")
+        if example.element not in self.pair[0 if example.label == 1 else 1]:
+            side = "true" if example.label == 1 else "harm"
             raise TraceRuleError(
-                f"step {t}: element {s.element} is labelled {s.label} but is not in "
-                f"the committed {side} language"
+                f"step {step}: element {example.element} is labelled {example.label} "
+                f"but is not in the committed {side} language"
             )
-        phase = s.phase
-        revealed.add(example)
-        out.append(score_step(trace.game, s.output, pair[0], pair[1], revealed, true_coll))
-    if len(out) != trace.horizon:
-        raise TraceRuleError(
-            f"step {min(len(out), trace.horizon) + 1}: the trace has {len(out)} steps, "
-            f"but its header's horizon is {trace.horizon}"
-        )
-    return out
+        self.phase = phase
+        self.revealed.add(example)
+        return self.revealed
+
+    def score(self, output: LearnerOutput) -> bool:
+        """Is ``output`` correct for the step just revealed?"""
+        return score_step(self.kind, output, *self.pair, self.revealed, self.true_coll)
+
+
+def rescored(
+    trace: Trace, steps: Iterable[StepRecord], true_coll: LanguageCollection | None = None
+) -> Iterator[tuple[StepRecord, bool]]:
+    """Each of ``steps``, the rows of the trace headed by ``trace``, with its
+    correctness recomputed, once the referee has checked the row."""
+    referee = _Referee(trace.game, trace.horizon, true_coll)
+    for s in steps:
+        referee.reveal(s.t, LabeledExample(s.element, s.label), s.phase, s.pair)
+        yield s, referee.score(s.output)
+    count = referee.revealed.step
+    if count != trace.horizon:
+        raise TraceRuleError(f"step {count + 1}: the trace has {count} steps, "
+                             f"but its header's horizon is {trace.horizon}")
+
+
+def rescore_trace(trace: Trace, true_coll: LanguageCollection | None = None) -> list[bool]:
+    """Recompute per-step correctness of a stored trace from its own records,
+    raising TraceRuleError at the first step that breaks a rule of the game."""
+    return [correct for _, correct in rescored(trace, trace.steps, true_coll)]
 
 
 def score_against_pair(

@@ -25,9 +25,9 @@ from .arena import (
     RunResult,
     ScenarioError,
     ScenarioSpec,
-    Trace,
     TraceRuleError,
-    rescore_trace,
+    read_trace,
+    rescored,
     run_game,
     score_against_pair,
 )
@@ -85,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
 def _write_result(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     name = result.trace.scenario
-    (out_dir / f"{name}.trace.jsonl").write_text(result.trace.to_jsonl())
+    with open(out_dir / f"{name}.trace.jsonl", "w") as f:
+        f.writelines(result.trace.lines())
     (out_dir / f"{name}.verdict.json").write_text(
         result.verdict.to_json(name) + "\n"
     )
@@ -273,19 +274,19 @@ def _cmd_check_algebra(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    # Row by row, so the first fault in file order decides the exit code.
     spec = _load_game(args.scenario)
-    trace = Trace.from_jsonl(args.trace.read_text())
-    try:
-        recomputed = rescore_trace(trace, spec.true_coll)
-    except TraceRuleError as exc:
-        print(f"replay: RULE BROKEN at {exc}")
-        return 1
-    stored = [s.correct for s in trace.steps]
-    if recomputed != stored:
-        first = next(i for i, (a, b) in enumerate(zip(stored, recomputed)) if a != b)
-        print(f"replay: MISMATCH at step {first + 1}: stored={stored[first]} recomputed={recomputed[first]}")
-        return 1
-    print(f"replay: {len(stored)} steps re-scored, all correctness flags match")
+    with open(args.trace) as lines:
+        head, rows = read_trace(lines)
+        try:
+            for step, correct in rescored(head, rows, spec.true_coll):
+                if correct != step.correct:
+                    print(f"replay: MISMATCH at step {step.t}: stored={step.correct} recomputed={correct}")
+                    return 1
+        except TraceRuleError as exc:
+            print(f"replay: RULE BROKEN at {exc}")
+            return 1
+    print(f"replay: {head.horizon} steps re-scored, all correctness flags match")
     return 0
 
 

@@ -18,12 +18,13 @@ Cost model: the printed form (rays of one period per direction and one
 ``Fin`` list, as ``format_set`` writes them and traces store them) is read
 without the grammar and costs one canonicalization over its listed points.
 Any other expression goes through the grammar, one canonicalization per atom
-and one combine per operator (see ``algebra``).  Either way the listed
-integers are read with one ``int`` call each.
+and one combine per operator (see ``algebra``).  A printed ``Fin`` list is
+read with one ``json.loads``, and the grammar's with one ``int`` per value.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from .algebra import (
@@ -195,15 +196,15 @@ def _parse_printed(text: str) -> PeriodicSet | None:
     """
     sides: tuple[list[int], list[int]] = ([], [])  # descending, ascending starts
     periods: tuple[set[int], set[int]] = (set(), set())
-    points: list[int] | None = None
+    inside: frozenset[int] | None = None
     try:
         for part in text.split(" | "):
             if part.startswith("Fin{") and part.endswith("}"):
-                body = part[4:-1]
-                # ``int`` also reads '+' and '_', which the grammar rejects.
-                if points is not None or "+" in body or "_" in body:
+                values = json.loads("[" + part[4:-1] + "]")
+                # Every value must be an int, not a bool or a float.
+                if inside is not None or not set(map(type, values)) <= {int}:
                     return None
-                points = sorted(set(map(int, body.split(",")))) if body else []
+                inside = frozenset(values)
                 continue
             m = _RAY.fullmatch(part)
             if m is None:
@@ -213,7 +214,7 @@ def _parse_printed(text: str) -> PeriodicSet | None:
                 return None
             sides[step > 0].append(start)
             periods[step > 0].add(abs(step))
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     rules = []
     for starts, period_set in zip(sides, periods):
@@ -228,7 +229,8 @@ def _parse_printed(text: str) -> PeriodicSet | None:
             return None
         rules.append((period, residues))
     neg, pos = sides
-    points = points or []
+    inside = inside or frozenset()
+    points = sorted(inside)
     # The cuts: the descending rule holds below lo, the ascending one from hi
     # up.  A direction without rays takes its cut from the points, or else
     # from the other cut.
@@ -236,7 +238,7 @@ def _parse_printed(text: str) -> PeriodicSet | None:
     hi = min(pos) if pos else points[-1] + 1 if points else lo
     if lo > hi or points and not (lo <= points[0] and points[-1] < hi):
         return None
-    return _settle((lo, hi), (rules[0], _ABSENT, rules[1]), points, frozenset(points))
+    return _settle((lo, hi), (rules[0], _ABSENT, rules[1]), points, inside)
 
 
 def format_set(s: PeriodicSet) -> str:

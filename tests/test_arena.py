@@ -1,8 +1,9 @@
+import dataclasses
 from functools import partial
 
 import pytest
 
-from limitgames.adversaries import FairInterleaver
+from limitgames.adversaries import Emission, FairInterleaver
 from limitgames.algebra import (
     all_integers,
     difference,
@@ -17,6 +18,7 @@ from limitgames.arena import (
     ScenarioError,
     ScenarioSpec,
     Trace,
+    TraceRuleError,
     rescore_trace,
     run_game,
     score_against_pair,
@@ -182,3 +184,50 @@ def test_difference_memo_holds_only_the_latest_game():
     assert info.currsize == 1
     difference(O, E)
     assert difference.cache_info().hits == info.hits + 1
+
+
+def _faulty_game(step, **fault):
+    """The shortened generation game, whose adversary at ``step`` emits
+    ``element`` (labelled 1) or reports ``phase`` from then on."""
+    spec = _gen_spec()
+    make = spec.adversary_factory
+
+    def factory():
+        adversary = make()
+        emit = adversary.emit
+
+        def faulty_emit(t):
+            emission = emit(t)
+            if t < step:
+                return emission
+            if "phase" in fault:
+                adversary.phase = fault["phase"]
+            if t == step and "element" in fault:
+                return Emission(LabeledExample(fault["element"], 1))
+            return emission
+
+        adversary.emit = faulty_emit
+        return adversary
+
+    spec.adversary_factory = factory
+    return spec
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        # The generation game's true language is O, the odd positives.
+        ({"element": -7}, "step 5: element -7 is labelled 1 but is not in the committed true language"),
+        ({"phase": 0}, "step 5: phase falls from 1 to 0"),
+    ],
+)
+def test_play_breaks_a_rule_as_replay_does(fault, message):
+    with pytest.raises(TraceRuleError) as played:
+        run_game(_faulty_game(5, **fault))
+    assert str(played.value) == message
+    # The same edit of a stored trace's step 5 fails replay with the same message.
+    trace = run_game(_gen_spec()).trace
+    trace.steps[4] = dataclasses.replace(trace.steps[4], **fault)
+    with pytest.raises(TraceRuleError) as replayed:
+        rescore_trace(Trace.from_jsonl(trace.to_jsonl()))
+    assert str(replayed.value) == message

@@ -203,6 +203,7 @@ def _edit_step(step, **fields):
         (_edit_step(5, t=4), "step 5: t is 4; t must run"),
         (_edit_step(5, phase=0), "step 5: phase falls from 1 to 0"),
         (lambda lines: lines.pop(), "step 120: the trace has 119 steps, but its header's"),
+        (lambda lines: lines.append(lines[-1]), "step 121: the trace runs past its header's horizon"),
     ],
 )
 def test_cli_replay_broken_rule_exits_1(tmp_path, capsys, edit, message):
@@ -218,6 +219,24 @@ def test_cli_replay_broken_rule_exits_1(tmp_path, capsys, edit, message):
     capsys.readouterr()
     assert main(["replay", str(path), str(trace_path)]) == 1
     assert f"replay: RULE BROKEN at {message}" in capsys.readouterr().out
+
+
+def test_cli_replay_reports_the_first_fault_in_file_order(tmp_path, capsys):
+    # A flipped flag at step 3 comes before a broken rule at step 7.
+    path = write_json(tmp_path / "gen.json", gen_scenario())
+    out = tmp_path / "out"
+    main(["run", str(path), "--out", str(out)])
+    trace_path = out / "gen-demo.trace.jsonl"
+    lines = trace_path.read_text().splitlines()
+    stored = json.loads(lines[3])["correct"]
+    _edit_step(3, correct=not stored)(lines)
+    _edit_step(7, element=-7, label=1)(lines)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(path), str(trace_path)]) == 1
+    printed = capsys.readouterr().out
+    assert f"replay: MISMATCH at step 3: stored={not stored}" in printed
+    assert "RULE BROKEN" not in printed
 
 
 # Each needs a tail period, or an lcm of two, far above algebra.MAX_PERIOD;
@@ -353,15 +372,19 @@ TRACE_DIGESTS = {
 }
 
 
-def test_catalogue_trace_digests(play):
+def test_catalogue_trace_digests(tmp_path, play):
     games = sorted(
         p.name for p in CATALOGUE.glob("*.json") if not isinstance(load_file(p), Battery)
     )
     assert games == sorted(TRACE_DIGESTS)
     for file in games:
-        _, result, _ = play(file)
+        spec, result, _ = play(file)
         digest = hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest()
         assert digest == TRACE_DIGESTS[file], file
+        # ``run --out`` writes the same bytes.
+        assert main(["run", str(CATALOGUE / file), "--out", str(tmp_path)]) == 0
+        written = (tmp_path / f"{spec.name}.trace.jsonl").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == TRACE_DIGESTS[file], file
 
 
 @pytest.mark.parametrize("demo", ["sg-inf", "reduction", "conservative-fails"])

@@ -169,6 +169,12 @@ def assert_path_agrees(text):
         "Fin{1,} | Ray(4,2)",
         "Fin{+1}",
         "Fin{1_0}",
+        # JSON values that are not integers
+        "Fin{1.0}",
+        "Fin{true}",
+        "Fin{1e3}",
+        "Fin{NaN}",
+        "Fin{" + "[" * 100000 + "}",
         "Fin{1}} | Ray(4,2)",
         "Fin{1|2}",
         "Ray(0,0)",
