@@ -117,18 +117,7 @@ class Verdict:
     window: int
 
     def to_json(self, scenario: str) -> str:
-        payload = {
-            "schema": VERDICT_SCHEMA,
-            "scenario": scenario,
-            "converged": self.converged,
-            "convergence_step": self.convergence_step,
-            "correct_in_final_window": self.correct_in_final_window,
-            "phase_transitions": self.phase_transitions,
-            "target_index": self.target_index,
-            "horizon": self.horizon,
-            "window": self.window,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({"schema": VERDICT_SCHEMA, "scenario": scenario, **vars(self)}, sort_keys=True)
 
 
 @dataclass
@@ -144,29 +133,27 @@ class Trace:
 
     def lines(self) -> Iterator[str]:
         """The JSONL encoding one line at a time, each ending in a newline:
-        the header, then each step's row."""
-        head = {
-            "schema": TRACE_SCHEMA,
-            "scenario": self.scenario,
-            "game": self.game.value,
-            "horizon": self.horizon,
-            "window": self.window,
-        }
+        the header, then each step's row.  ``_ROW`` writes the bytes of
+        ``json.dumps(row, sort_keys=True)`` because ``_check_step`` holds each
+        integer field to an exact ``int``, each flag to an exact ``bool`` and
+        ``output`` to one of ``_OUTPUT_KINDS``, and the pair strings are
+        ``format_set`` output, which JSON never escapes.  A row the decoder
+        would refuse raises ScenarioError instead."""
+        head = {"schema": TRACE_SCHEMA, "scenario": self.scenario, "game": self.game.value,
+                "horizon": self.horizon, "window": self.window}
         yield json.dumps(head, sort_keys=True) + "\n"
-        for s in self.steps:
-            row: dict[str, object] = {
-                "t": s.t,
-                "element": s.element,
-                "label": s.label,
-                "injected": s.injected,
-                "output": s.output.kind,
-                "value": s.output.value,
-                "correct": s.correct,
-                "phase": s.phase,
-            }
-            if s.pair is not None:
-                row["pair"] = [format_set(s.pair[0]), format_set(s.pair[1])]
-            yield json.dumps(row, sort_keys=True) + "\n"
+        for n, s in enumerate(self.steps, start=2):
+            out, pair = s.output, s.pair
+            try:
+                _check_step(s.t, s.element, s.label, s.injected, s.correct, s.phase, out.kind, out.value)
+            except ScenarioError as exc:
+                raise ScenarioError(f"trace line {n}: {exc}") from None
+            yield _ROW % (
+                "true" if s.correct else "false", s.element, "true" if s.injected else "false",
+                s.label, out.kind,
+                "" if pair is None else _PAIR % (format_set(pair[0]), format_set(pair[1])),
+                s.phase, s.t, "null" if out.value is None else out.value,
+            )
 
     @staticmethod
     def from_jsonl(text: str) -> "Trace":
@@ -191,11 +178,12 @@ def read_trace(lines: Iterable[str]) -> tuple[Trace, Iterator[StepRecord]]:
 def _decode_line(n: int, line: str, decode: Callable[[dict], object]):
     try:
         row = json.loads(line)
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
+        raise ScenarioError(f"trace line {n}: not valid JSON ({getattr(exc, 'msg', exc)})") from None
+    try:
         if not isinstance(row, dict):
             raise ScenarioError("a row must be a JSON object")
         return decode(row)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"trace line {n}: not valid JSON ({exc.msg})") from None
     except KeyError as exc:
         raise ScenarioError(f"trace line {n}: missing field {exc.args[0]!r}") from None
     except ScenarioError as exc:
@@ -206,6 +194,10 @@ _OUTPUT_KINDS = ("generate", "bottom", "index")
 # A step row's scalar fields and their types, checked exactly: a bool is an int.
 _STEP_TYPES = {"t": int, "element": int, "label": int, "injected": bool, "correct": bool, "phase": int}
 _step_fields = operator.itemgetter(*_STEP_TYPES, "output", "value")
+# A step row as json.dumps(row, sort_keys=True) writes it (see Trace.lines).
+_ROW = ('{"correct": %s, "element": %d, "injected": %s, "label": %d, "output": "%s", '
+        '%s"phase": %d, "t": %d, "value": %s}\n')
+_PAIR = '"pair": ["%s", "%s"], '
 
 
 def _decode_head(row: dict) -> Trace:
@@ -221,23 +213,29 @@ def _decode_head(row: dict) -> Trace:
     return Trace(scenario=row["scenario"], game=game, horizon=row["horizon"], window=row["window"])
 
 
-def _decode_step(row: dict) -> StepRecord:
-    t, element, label, injected, correct, phase, kind, value = _step_fields(row)
+def _check_step(t, element, label, injected, correct, phase, kind, value) -> None:
+    """Raise ScenarioError naming the first field of a step row that a trace
+    may not hold."""
     if not (
         type(t) is type(element) is type(label) is type(phase) is int
         and type(injected) is type(correct) is bool
     ):
-        key = next(k for k, want in _STEP_TYPES.items() if type(row[k]) is not want)
-        want = "a boolean" if _STEP_TYPES[key] is bool else "an integer"
-        raise ScenarioError(f"field {key!r} must be {want}")
+        values = (t, element, label, injected, correct, phase)
+        key, want = next((k, w) for (k, w), x in zip(_STEP_TYPES.items(), values) if type(x) is not w)
+        raise ScenarioError(f"field {key!r} must be {'a boolean' if want is bool else 'an integer'}")
     if label not in (0, 1):
         raise ScenarioError(f"field 'label' must be 0 or 1, got {label}")
-    if kind not in _OUTPUT_KINDS:
+    if type(kind) is not str or kind not in _OUTPUT_KINDS:
         raise ScenarioError(f"field 'output': unknown output kind {kind!r}")
     if (value is None) != (kind == "bottom") or value is not None and type(value) is not int:
         raise ScenarioError(f"field 'value' must be an integer, or null for bottom, got {value!r}")
     if kind == "index" and value < 1:
         raise ScenarioError(f"field 'value': an index must be >= 1, got {value}")
+
+
+def _decode_step(row: dict) -> StepRecord:
+    t, element, label, injected, correct, phase, kind, value = fields = _step_fields(row)
+    _check_step(*fields)
     pair = None
     if "pair" in row:
         texts = row["pair"]

@@ -92,10 +92,12 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -
 def load_file(path: str | Path) -> ScenarioSpec | Battery:
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
+        text = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: top level must be an object")

@@ -1,10 +1,15 @@
 import dataclasses
+import json
+from enum import Enum
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitgames.adversaries import Emission, FairInterleaver
 from limitgames.algebra import (
+    PeriodicSet,
     all_integers,
     difference,
     even_nonnegatives,
@@ -17,6 +22,7 @@ from limitgames.arena import (
     GameKind,
     ScenarioError,
     ScenarioSpec,
+    StepRecord,
     Trace,
     TraceRuleError,
     rescore_trace,
@@ -28,6 +34,7 @@ from limitgames.cli import CATALOGUE
 from limitgames.families import LabeledExample, LanguageCollection, RevealedSet
 from limitgames.learners import ConservativePairGenerator, LearnerOutput, StubbornIdentifier
 from limitgames.scenario import load_file
+from limitgames.setspec import format_set
 
 I, O, E, N = all_integers(), odd_positives(), even_nonnegatives(), negative_integers()
 
@@ -96,12 +103,112 @@ def test_run_game_is_deterministic():
     assert a.verdict == b.verdict
 
 
-def test_trace_roundtrip_and_rescore():
-    result = run_game(_gen_spec())
+SINGLE_GAMES = sorted(
+    p.name for p in CATALOGUE.glob("*.json") if "battery" not in json.loads(p.read_text())
+)
+
+
+@pytest.mark.parametrize(
+    "file,horizon,window",
+    [
+        ("generation.json", 120, 30),
+        # Every single-game catalogue file at its own horizon.
+        *[(file, None, None) for file in SINGLE_GAMES],
+        # Short games of the diagonal and the phased adversary.
+        ("oracle_not_enough.json", 60, 15),
+        ("safe_id_impossible_eager.json", 60, 15),
+    ],
+)
+def test_trace_roundtrip_and_rescore(play, file, horizon, window):
+    if horizon is None:
+        spec, result, _ = play(file)
+    else:
+        spec = _catalogue_game(file, horizon, window)
+        result = run_game(spec)
     text = result.trace.to_jsonl()
     back = Trace.from_jsonl(text)
-    assert back.to_jsonl() == text
-    assert rescore_trace(back) == [s.correct for s in result.trace.steps]
+    assert "".join(back.lines()) == text
+    assert rescore_trace(back, spec.true_coll) == [s.correct for s in result.trace.steps]
+
+
+def _dumps_row(s: StepRecord) -> str:
+    """A step row as a dict through ``json.dumps``: the oracle for the bytes
+    of ``Trace.lines``."""
+    row = {
+        "t": s.t,
+        "element": s.element,
+        "label": s.label,
+        "injected": s.injected,
+        "output": s.output.kind,
+        "value": s.output.value,
+        "correct": s.correct,
+        "phase": s.phase,
+    }
+    if s.pair is not None:
+        row["pair"] = [format_set(s.pair[0]), format_set(s.pair[1])]
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+_row_ints = st.integers(-5, 5) | st.integers(-(10**30), 10**30)
+_row_sets = st.one_of(
+    st.just(PeriodicSet.finite([])),
+    st.sampled_from([I, O, E, N, y_set(3), q_set(2)]),
+    st.lists(_row_ints, max_size=300).map(PeriodicSet.finite),
+    st.integers(-40, 40).map(lambda a: PeriodicSet.finite(range(a, a + 200))),
+    st.builds(PeriodicSet.ray, st.integers(-50, 50), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+)
+_rows = st.builds(
+    StepRecord,
+    t=_row_ints,
+    element=_row_ints,
+    label=st.sampled_from([0, 1]),
+    injected=st.booleans(),
+    output=st.one_of(
+        st.just(LearnerOutput.bottom()),
+        st.builds(LearnerOutput.generate, _row_ints),
+        st.builds(LearnerOutput.index, st.integers(1, 10**30)),
+    ),
+    correct=st.booleans(),
+    phase=_row_ints,
+    pair=st.none() | st.tuples(_row_sets, _row_sets),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rows, max_size=4))
+def test_trace_rows_match_json_dumps(steps):
+    trace = Trace("rows", GameKind.SG, 10, 5, steps)
+    assert list(trace.lines())[1:] == [_dumps_row(s) for s in steps]
+
+
+class _Kind(str, Enum):
+    GENERATE = "generate"
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ({"output": LearnerOutput("generate", 1.5)}, "field 'value' must be an integer"),
+        ({"output": LearnerOutput("index", True)}, "field 'value' must be an integer"),
+        ({"output": LearnerOutput("shout", 3)}, "field 'output': unknown output kind 'shout'"),
+        ({"output": LearnerOutput(_Kind.GENERATE, 3)}, "field 'output': unknown output kind"),
+        ({"element": True}, "field 'element' must be an integer"),
+        ({"t": 5.0}, "field 't' must be an integer"),
+        ({"injected": 0}, "field 'injected' must be a boolean"),
+        ({"label": 2}, "field 'label' must be 0 or 1"),
+        ({"output": LearnerOutput("generate", None)}, "field 'value' must be an integer"),
+        ({"output": LearnerOutput("index", 0)}, "field 'value': an index must be >= 1"),
+    ],
+)
+def test_trace_rows_refuse_what_replay_refuses(fault, message):
+    # Step 5 is the trace's line 6.  The decoder refuses each of these rows,
+    # and the format string would write some of them in a form json.dumps
+    # never gives: 5 for 5.0, 1 for true, True for true.
+    trace = run_game(_gen_spec()).trace
+    trace.steps[4] = dataclasses.replace(trace.steps[4], **fault)
+    with pytest.raises(ScenarioError) as raised:
+        trace.to_jsonl()
+    assert str(raised.value).startswith(f"trace line 6: {message}")
 
 
 def test_score_against_pair_post_hoc():

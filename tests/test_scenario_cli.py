@@ -252,6 +252,15 @@ def _without(key):
     return lambda row: {k: v for k, v in row.items() if k != key}
 
 
+# An integer past Python's 4300-digit limit for converting to and from text,
+# which json.loads refuses with a plain ValueError.
+HUGE_INT = "7" * 5000
+
+
+def _huge(key):
+    return lambda row: json.dumps({**row, key: 0}).replace(f'"{key}": 0', f'"{key}": {HUGE_INT}')
+
+
 @pytest.mark.parametrize(
     "line,edit,message",
     [
@@ -268,6 +277,8 @@ def _without(key):
         (4, lambda row: {**row, "label": 2}, "trace line 4: field 'label' must be 0 or 1"),
         (1, lambda row: {**row, "horizon": "300"}, "trace line 1: field 'horizon' must be"),
         (4, lambda row: {**row, "output": "generate", "value": None}, "trace line 4: field 'value'"),
+        (4, _huge("element"), "trace line 4: not valid JSON (Exceeds the limit"),
+        (1, _huge("horizon"), "trace line 1: not valid JSON (Exceeds the limit"),
         *[
             (
                 2,
@@ -296,6 +307,13 @@ def test_cli_replay_malformed_trace_exits_2(tmp_path, capsys, play, line, edit, 
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(CATALOGUE / "sg_inf.json"), str(trace_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_cli_run_oversized_horizon_exits_2(tmp_path, capsys):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(gen_scenario(horizon=0)).replace('"horizon": 0', f'"horizon": {HUGE_INT}'))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: not valid JSON (Exceeds the limit" in capsys.readouterr().err
 
 
 def test_cli_replay_index_below_one_exits_2(tmp_path, capsys, play):
