@@ -15,29 +15,28 @@ currently committed language pair makes every finite trace scoreable.
    though the hidden pair leaves infinitely many safe words.
 """
 
-from limitgames import GameKind, LanguageCollection, ScenarioSpec, run_game
-from limitgames.adversaries import DiagonalAdversary, FairInterleaver, PhasedInjectionAdversary
-from limitgames.algebra import all_integers, y_set
+from pathlib import Path
+
+from limitgames import run_game
 from limitgames.arena import score_against_pair
-from limitgames.families import diagonal_trap_collections, identification_trap_collections
-from limitgames.learners import ConservativePairGenerator, EagerIdentifier
+from limitgames.scenario import load_file
+
+CATALOGUE = Path(__file__).resolve().parent / "scenarios"
+
+
+def play(file, horizon, window):
+    """Play a catalogue game at a shorter horizon and window than its file's."""
+    spec = load_file(CATALOGUE / file)
+    spec.horizon, spec.window = horizon, window
+    return run_game(spec)
+
 
 # ----------------------------------------------------------------------
 # 1. The identification trap
 # ----------------------------------------------------------------------
 
-true_coll, harm_coll = identification_trap_collections()
-spec = ScenarioSpec(
-    name="identification-trap",
-    game=GameKind.SI,
-    adversary_factory=lambda: PhasedInjectionAdversary(true_coll),
-    learner_factory=lambda: EagerIdentifier(true_coll),
-    horizon=400,
-    window=50,
-    true_coll=true_coll,
-    harm_coll=harm_coll,
-)
-result = run_game(spec)
+# The phased injection adversary against EagerIdentifier.
+result = play("safe_id_impossible_eager.json", 400, 50)
 print("identification trap:")
 print("  every correct guess triggers an injection; phase transitions =",
       result.verdict.phase_transitions)
@@ -48,18 +47,8 @@ print("  first injections (step, element):", injected)
 # 2. The diagonal trap
 # ----------------------------------------------------------------------
 
-dt_true, dt_harm = diagonal_trap_collections()
-spec = ScenarioSpec(
-    name="diagonal-trap",
-    game=GameKind.SG,
-    adversary_factory=lambda: DiagonalAdversary(dt_true, dt_harm),
-    learner_factory=lambda: ConservativePairGenerator(dt_true),
-    horizon=400,
-    window=50,
-    true_coll=dt_true,
-    harm_coll=dt_harm,
-)
-result = run_game(spec)
+# The diagonal adversary against the prefix-critical learner.
+result = play("oracle_not_enough.json", 400, 50)
 adv = result.adversary
 print("diagonal trap:")
 print("  phase transitions =", result.verdict.phase_transitions)
@@ -72,22 +61,10 @@ print(f"  of {len(adv.detection_steps)} detected generations, {unsafe} are unsaf
 # 3. Conservative pairing without the promise
 # ----------------------------------------------------------------------
 
-I = all_integers()
-cf_true = LanguageCollection.explicit("cf-true", [I])
-cf_harm = LanguageCollection.explicit("cf-harm", [y_set(0), I])
-spec = ScenarioSpec(
-    name="conservative-fails",
-    game=GameKind.SG,
-    adversary_factory=lambda: FairInterleaver(I, y_set(0)),
-    learner_factory=lambda: ConservativePairGenerator(cf_true, cf_harm),
-    horizon=120,
-    window=30,
-    true_coll=cf_true,
-    harm_coll=cf_harm,
-)
-result = run_game(spec)
+# True side [I], harm side [Y(0), I], and a fair interleaving of I with Y(0).
+result = play("conservative_fails.json", 120, 30)
 learner = result.learner
 stuck = [r for r in learner.choice_log if r.diff is not None and r.diff.is_bounded]
 print("conservative pairing without the promise:")
 print(f"  true difference is infinite, yet the chosen pair's difference was "
-      f"empty on {len(stuck)} of {spec.horizon} steps, forcing bottom")
+      f"empty on {len(stuck)} of {result.trace.horizon} steps, forcing bottom")

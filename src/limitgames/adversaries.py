@@ -1,4 +1,4 @@
-"""Labeled-stream producers: fair enumerators and adaptive adversaries.
+"""Labeled-stream producers: one fair enumerator and adaptive adversaries.
 
 The game protocol is: the adversary emits one labeled example, the learner
 observes the grown sample and answers, then the adversary observes that
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from itertools import cycle
+from typing import Protocol
 
 from .algebra import (
     PeriodicSet,
@@ -49,49 +50,31 @@ class Adversary(Protocol):
     def phase(self) -> int: ...
 
 
-class PositiveStream:
-    """Enumerates one fixed language with label 1; ignores the learner."""
-
-    def __init__(self, lang: PeriodicSet):
-        if not lang.cardinality().is_infinite:
-            raise AdversaryError("positive stream needs an infinite language")
-        self.lang = lang
-        self._iter = lang.iter_universe_order()
-        self.phase = 1
-
-    def emit(self, t: int) -> Emission:
-        return Emission(LabeledExample(next(self._iter), 1))
-
-    def observe(self, output: LearnerOutput) -> None:
-        pass
-
-    def current_pair(self) -> tuple[PeriodicSet, PeriodicSet]:
-        return self.lang, PeriodicSet.empty()
-
-
 class FairInterleaver:
     """Alternates the canonical enumerations of a fixed (true, harm) pair.
 
-    Odd steps emit the next true element labeled 1, even steps the next harm
-    element labeled 0, so every element of both languages appears by a step
-    linear in its universe rank.
+    Emissions cycle through the sides in the order they were drawn: the next
+    true element labeled 1, then the next harm element labeled 0, so every
+    element of both languages appears by a step linear in its universe rank.
+    With no harm side (plain generation) every emission is the next true
+    element, and the committed pair is (true, empty).
     """
 
-    def __init__(self, true_lang: PeriodicSet, harm_lang: PeriodicSet):
-        if not true_lang.cardinality().is_infinite:
-            raise AdversaryError("fair interleaver needs an infinite true language")
-        if not harm_lang.cardinality().is_infinite:
-            raise AdversaryError("fair interleaver needs an infinite harm language")
+    def __init__(self, true_lang: PeriodicSet, harm_lang: PeriodicSet | None = None):
+        sides = [("true", true_lang, 1)]
+        if harm_lang is not None:
+            sides.append(("harm", harm_lang, 0))
+        for side, lang, _ in sides:
+            if not lang.cardinality().is_infinite:
+                raise AdversaryError(f"fair interleaver needs an infinite {side} language")
         self.true_lang = true_lang
-        self.harm_lang = harm_lang
-        self._true_iter = true_lang.iter_universe_order()
-        self._harm_iter = harm_lang.iter_universe_order()
+        self.harm_lang = PeriodicSet.empty() if harm_lang is None else harm_lang
+        self._draws = cycle([(lang.iter_universe_order(), label) for _, lang, label in sides])
         self.phase = 1
 
     def emit(self, t: int) -> Emission:
-        if t % 2 == 1:
-            return Emission(LabeledExample(next(self._true_iter), 1))
-        return Emission(LabeledExample(next(self._harm_iter), 0))
+        enumeration, label = next(self._draws)
+        return Emission(LabeledExample(next(enumeration), label))
 
     def observe(self, output: LearnerOutput) -> None:
         pass
@@ -103,14 +86,14 @@ class FairInterleaver:
 class PhasedInjectionAdversary:
     """Adaptive stream that punishes every correct safe-language guess.
 
-    Runs over the identification-trap collections.  The master sequence
-    interleaves an enumeration of I (label 1) with an enumeration of E
-    (label 0); those 0-labeled evens are consistent with every harm
-    candidate.  Whenever the learner guesses the safe language of the
-    currently committed pair, the adversary queues the injection (-l, 0),
-    which invalidates the harm hypothesis the learner just settled on, and
-    moves to the next phase.  Injections alternate with master progress so
-    enumeration fairness survives even a learner that triggers every step.
+    Runs over the identification-trap collections.  The master sequence is
+    the fair interleaving of I (label 1) with E (label 0); those 0-labeled
+    evens are consistent with every harm candidate.  Whenever the learner
+    guesses the safe language of the currently committed pair, the
+    adversary queues the injection (-l, 0), which invalidates the harm
+    hypothesis the learner just settled on, and moves to the next phase.
+    Injections alternate with master progress so enumeration fairness
+    survives even a learner that triggers every step.
 
     Mid-phase l the committed pair is (I, Y(-(l-1))); if the learner never
     advances again, that pair stands for the rest of the game.
@@ -119,10 +102,7 @@ class PhasedInjectionAdversary:
     def __init__(self, coll_true: LanguageCollection):
         self.coll_true = coll_true
         self.phase = 1
-        self._master = _interleave(
-            all_integers().iter_universe_order(),
-            even_nonnegatives().iter_universe_order(),
-        )
+        self._master = FairInterleaver(all_integers(), even_nonnegatives())
         self._pending: deque[int] = deque()
         self._last_was_injection = False
         self._true = all_integers()
@@ -140,8 +120,7 @@ class PhasedInjectionAdversary:
             self.injections.append((t, depth))
             return Emission(LabeledExample(-depth, 0), injected=True)
         self._last_was_injection = False
-        element, label = next(self._master)
-        return Emission(LabeledExample(element, label))
+        return self._master.emit(t)
 
     def observe(self, output: LearnerOutput) -> None:
         if not output.is_index:
@@ -161,14 +140,6 @@ class PhasedInjectionAdversary:
     def limit_pair(self) -> tuple[PeriodicSet, PeriodicSet]:
         """The pair the construction converges to over infinitely many phases."""
         return self._true, negative_integers() | even_nonnegatives()
-
-
-def _interleave(
-    true_iter: Iterator[int], harm_iter: Iterator[int]
-) -> Iterator[tuple[int, int]]:
-    while True:
-        yield next(true_iter), 1
-        yield next(harm_iter), 0
 
 
 @dataclass(frozen=True)

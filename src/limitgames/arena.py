@@ -406,15 +406,13 @@ def rescore_trace(trace: Trace, true_coll: LanguageCollection | None = None) -> 
 
 
 def score_against_pair(
-    trace: Trace,
-    true_lang: PeriodicSet,
-    harm_lang: PeriodicSet,
-    kind: GameKind = GameKind.SG,
+    trace: Trace, true_lang: PeriodicSet, harm_lang: PeriodicSet
 ) -> list[bool]:
-    """Score a stored trace's outputs against one fixed pair (post-hoc analysis)."""
+    """Score a stored trace's outputs as safe generations against one fixed
+    pair (post-hoc analysis)."""
     revealed = RevealedSet()
     out: list[bool] = []
     for s in trace.steps:
         revealed.add(LabeledExample(s.element, s.label))
-        out.append(score_step(kind, s.output, true_lang, harm_lang, revealed))
+        out.append(score_step(GameKind.SG, s.output, true_lang, harm_lang, revealed))
     return out

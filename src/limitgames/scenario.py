@@ -38,7 +38,6 @@ from .adversaries import (
     DiagonalAdversary,
     FairInterleaver,
     PhasedInjectionAdversary,
-    PositiveStream,
 )
 from .arena import GameKind, ScenarioError, ScenarioSpec
 from .families import (
@@ -180,7 +179,7 @@ def _build_collection(cfg: dict | None, side: str) -> LanguageCollection | None:
         if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
             raise ScenarioError(f"{side}_collection.sets must be a list of set expressions")
         sets = [_parse_set(s, f"{side}_collection.sets") for s in texts]
-        telltales = _telltales(cfg["telltales"], side) if "telltales" in cfg else None
+        telltales = _telltales(cfg["telltales"], side, len(sets)) if "telltales" in cfg else None
         with _field(f"{side}_collection"):
             return LanguageCollection.explicit(f"{side}-explicit", sets, telltales=telltales)
     if "sets" in cfg or "telltales" in cfg:
@@ -196,7 +195,7 @@ def _build_collection(cfg: dict | None, side: str) -> LanguageCollection | None:
     raise ScenarioError(f"unknown collection kind {kind!r}")
 
 
-def _telltales(obj, side: str) -> dict[int, frozenset[int]]:
+def _telltales(obj, side: str, count: int) -> dict[int, frozenset[int]]:
     where = f"{side}_collection.telltales"
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where} must map indices to lists of integers")
@@ -206,6 +205,8 @@ def _telltales(obj, side: str) -> dict[int, frozenset[int]]:
             index = int(key)
         except ValueError:
             raise ScenarioError(f"{where}: key {key!r} is not an integer index") from None
+        if not 1 <= index <= count:
+            raise ScenarioError(f"{where}: key {key!r} is not an index in 1..{count}")
         if not isinstance(values, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in values
         ):
@@ -222,8 +223,8 @@ def _build_adversary(cfg: dict, true_coll, harm_coll):
             raise ScenarioError("positive_stream needs a 'lang' set expression")
         lang = _parse_set(cfg["lang"], "adversary.lang")
         with _field("adversary.lang"):
-            PositiveStream(lang)
-        return lambda: PositiveStream(lang)
+            FairInterleaver(lang)
+        return lambda: FairInterleaver(lang)
     if kind == "fair_interleaver":
         if "true" not in cfg or "harm" not in cfg:
             raise ScenarioError("fair_interleaver needs 'true' and 'harm' expressions")

@@ -5,7 +5,6 @@ from limitgames.adversaries import (
     DiagonalAdversary,
     FairInterleaver,
     PhasedInjectionAdversary,
-    PositiveStream,
 )
 from limitgames.algebra import (
     PeriodicSet,
@@ -42,13 +41,13 @@ def drain(adv, steps, respond=lambda t, em: None):
 
 
 def test_positive_stream():
-    adv = PositiveStream(O)
+    adv = FairInterleaver(O)
     ems = drain(adv, 5)
     assert [(e.example.element, e.example.label) for e in ems] == [
         (1, 1), (3, 1), (5, 1), (7, 1), (9, 1)
     ]
     with pytest.raises(AdversaryError):
-        PositiveStream(PeriodicSet.finite({1}))
+        FairInterleaver(PeriodicSet.finite({1}))
 
 
 def test_fair_interleaver_examples():
@@ -71,6 +70,15 @@ def test_fair_interleaver_covers_both_languages():
         assert (x, 1) in seen
     for x in E.prefix(20):
         assert (x, 0) in seen
+
+
+def test_fair_interleaver_without_harm_side_enumerates_true_side():
+    adv = FairInterleaver(I)
+    ems = drain(adv, 12)
+    assert [(e.example.element, e.example.label) for e in ems] == [(x, 1) for x in I.prefix(12)]
+    assert adv.current_pair() == (I, PeriodicSet.empty())
+    with pytest.raises(AdversaryError, match="infinite"):
+        FairInterleaver(PeriodicSet.finite({1, 2}))
 
 
 def test_fair_interleaver_rejects_finite_sides():

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from limitgames import learners
-from limitgames.adversaries import DiagonalAdversary, FairInterleaver, PositiveStream
+from limitgames.adversaries import DiagonalAdversary, FairInterleaver
 from limitgames.cli import CATALOGUE
 from limitgames.families import (
     CollectionError,
@@ -97,7 +97,7 @@ def test_critical_generator_matches_function(coll, other, pick, fair, slack):
     # The stream enumerates a collection member or, when ``pick`` points
     # past the list, a language that may sit outside the collection.
     target = coll.at(pick + 1) if pick < coll.length else other
-    adversary = FairInterleaver(target, other) if fair else PositiveStream(target)
+    adversary = FairInterleaver(target, other if fair else None)
     with bounded(slack):
         play(
             adversary,
@@ -188,7 +188,7 @@ def test_critical_generator_past_the_bound_matches_function(low, far, slack):
     coll = LanguageCollection.explicit("c", [parse("I"), lang])
     with bounded(slack), walks_past_bound() as passed:
         play(
-            PositiveStream(lang),
+            FairInterleaver(lang),
             ConservativePairGenerator(coll),
             lambda r, t: conservative_pair_generate(coll, None, r, t),
             200,
@@ -251,7 +251,7 @@ def around_target(draw, max_others):
 def test_naive_identifier_matches_function(game, other, fair):
     target, coll = game
     play(
-        FairInterleaver(target, other) if fair else PositiveStream(target),
+        FairInterleaver(target, other if fair else None),
         NaiveIdentifier(coll),
         lambda r, t: naive_identify(coll, r, t),
         200,
@@ -263,7 +263,7 @@ def test_naive_identifier_matches_function(game, other, fair):
 def test_probe_identifier_matches_function(game, other, fair):
     target, coll = game
     play(
-        FairInterleaver(target, other) if fair else PositiveStream(target),
+        FairInterleaver(target, other if fair else None),
         ProbeIdentifier(coll),
         lambda r, t: identify_with_probes(coll, r, t),
         200,
@@ -290,7 +290,7 @@ def test_probe_identifier_feeds_sg_what_a_fresh_probe_holds(game):
     target, coll = game
     kept, fresh = [], []
     learner = ProbeIdentifier(coll, recording(kept))
-    adversary = PositiveStream(target)
+    adversary = FairInterleaver(target)
     revealed = RevealedSet()
     for t in range(1, 61):
         revealed.add(adversary.emit(t).example)
@@ -509,7 +509,7 @@ def test_probe_identifier_forgets_dead_candidates():
         "c", [parse("Fin{0, 2} | Ray(6, 2)"), parse("I"), parse("N"), parse("E")]
     )
     learner = ProbeIdentifier(coll)
-    adversary = PositiveStream(parse("E"))
+    adversary = FairInterleaver(parse("E"))
     revealed = RevealedSet()
     for t in range(1, 9):
         revealed.add(adversary.emit(t).example)

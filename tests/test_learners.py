@@ -1,6 +1,6 @@
 import itertools
 
-from limitgames.adversaries import FairInterleaver, PositiveStream
+from limitgames.adversaries import FairInterleaver
 from limitgames.algebra import (
     all_integers,
     even_nonnegatives,
@@ -72,7 +72,7 @@ def test_critical_generate_fallback_when_nothing_consistent():
 
 def test_critical_generate_never_repeats_seen():
     c = coll(I, O, E, q_set(1), y_set(0))
-    adv = PositiveStream(O)
+    adv = FairInterleaver(O)
     r = RevealedSet()
     gen = ConservativePairGenerator(c)
     for t in range(1, 60):
@@ -83,7 +83,7 @@ def test_critical_generate_never_repeats_seen():
 
 def test_critical_class_matches_function():
     c = coll(I, O, E, q_set(1), y_set(0))
-    adv = PositiveStream(O)
+    adv = FairInterleaver(O)
     r = RevealedSet()
     gen = ConservativePairGenerator(c)
     for t in range(1, 41):

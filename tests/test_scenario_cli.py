@@ -476,6 +476,21 @@ def test_cli_non_integer_telltale_key_exits_2(tmp_path, capsys):
         (gen_scenario(name="../escaped"), "name"),
         ({"version": 1, "battery": [3]}, "battery"),
         ({"version": 1, "battery": "ab"}, "battery"),
+        # Telltale keys outside the collection's indices 1..2.
+        *(
+            (
+                catalogue_scenario(
+                    "telltale_bottom.json",
+                    true_collection={
+                        "kind": "explicit",
+                        "sets": ["I", "E"],
+                        "telltales": {key: [0]},
+                    },
+                ),
+                f"true_collection.telltales: key '{key}'",
+            )
+            for key in ("0", "-3", "99")
+        ),
     ],
 )
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, scenario, field):
