@@ -18,19 +18,27 @@ cardinality counts from the halves.  Reducing a tail to its minimal period
 (``rank_mask_block``) are built by residue arithmetic too: each residue
 class of a rule is one bit progression, XORed with the exceptions inside
 the requested range, so a mask takes O(residues + exceptions in range)
-Python steps plus big-integer work linear in its width.  ``first_not_in``
-over a revealed sample is a mask scan: chunks of doubling width tested
-against the sample's rank bit set, so finding rank r costs O(log r) masks.
-``prefix``, ``iter_universe_order`` and ``first_not_in`` over a predicate
-or a plain container still test one rank at a time.  Only ``window``, the
-listing that printing reads, costs O(members).
+Python steps plus big-integer work linear in its width.  ``prefix``,
+``iter_universe_order`` and ``first_not_in`` read one member walk
+(``_chunks``): rank masks whose width doubles from 64 up to 2**16 ranks,
+and after an empty one a jump, read off the pieces, to the next rank that
+can hold a member.  A jump crosses a stretch with no member, by rule or by
+exception, in one step, so a far-out member costs a few masks, not a scan
+of the ranks before it.
+Only ``window``, the listing that printing reads, costs O(members).
 
-The lcm of the tail periods is bounded: no operation builds a rule whose
-period, or the lcm of two periods it compares or combines, exceeds
-``MAX_PERIOD``.  Each operation checks this before the work that grows with
-the period and raises ``PeriodLimitError`` instead, so a 30-character
-expression such as ``Ray(0,100003) | Ray(0,100019)`` fails at once rather
-than canonicalizing over an lcm of about 10**10.
+Each operation checks a declared limit before the work that grows with it
+and raises ``LimitError`` instead:
+
+* ``MAX_PERIOD`` bounds a rule's period, or the lcm of two periods an
+  operation compares or combines (``PeriodLimitError``), so a 30-character
+  expression such as ``Ray(0,100003) | Ray(0,100019)`` fails at once rather
+  than canonicalizing over an lcm of about 10**10;
+* ``MAX_LISTED`` bounds the exceptions a window half lists against its
+  rule, and the members ``window`` lists: a bounded periodic run such as
+  ``O & Ray(1000000000,-1)`` is stored point by point;
+* ``MAX_RANK`` bounds the rank that a sample's or a learner's rank mask
+  may reach (``check_rank``).
 
 The universe is enumerated in zigzag order 0, 1, -1, 2, -2, ...;
 ``universe_elem`` and ``universe_index`` convert between 1-based ranks and
@@ -43,16 +51,25 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain
+from itertools import chain, islice
 from math import inf, lcm
-from typing import Callable, Container, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 
 # The largest tail period, or lcm of two periods, an operation may build.
 MAX_PERIOD = 1 << 16
+# The most points a window half may list against its rule, and the most
+# members ``window`` may list.
+MAX_LISTED = 1 << 20
+# The largest universe rank a rank mask may reach.
+MAX_RANK = 1 << 24
 
 
-class PeriodLimitError(ValueError):
+class LimitError(ValueError):
+    """Raised when an operation would exceed a declared limit."""
+
+
+class PeriodLimitError(LimitError):
     """Raised when an operation would build a period above ``MAX_PERIOD``."""
 
 
@@ -63,6 +80,20 @@ def _check_period(period: int) -> int:
             f"MAX_PERIOD = {MAX_PERIOD}"
         )
     return period
+
+
+def _check_listed(count: int) -> None:
+    if count > MAX_LISTED:
+        raise LimitError(
+            f"listing {count} points exceeds the limit MAX_LISTED = {MAX_LISTED}"
+        )
+
+
+def check_rank(rank: int) -> int:
+    """``rank``, once it is known to fit a rank mask of ``MAX_RANK`` bits."""
+    if rank > MAX_RANK:
+        raise LimitError(f"universe rank {rank} exceeds the limit MAX_RANK = {MAX_RANK}")
+    return rank
 
 
 def universe_elem(rank: int) -> int:
@@ -271,8 +302,18 @@ class PeriodicSet:
         """The members in [lo, hi], in increasing order.  Derived on every
         read, at O(members + exceptions) cost, and never stored: printing
         and the canonical-form check read it, the algebra never does."""
+        halves = self._halves()
+        if self.hi - self.lo >= MAX_LISTED:
+            # Wide enough to hold more members than may be listed: count
+            # them from the halves first.
+            count = 0
+            for a, b, rule, exceptions in halves:
+                period, residues = rule
+                inside = sum(map(residues.__contains__, map(period.__rmod__, exceptions)))
+                count += _rule_count(rule, a, b) + len(exceptions) - 2 * inside
+            _check_listed(count)
         members: list[int] = []
-        for a, b, rule, exceptions in self._halves():
+        for a, b, rule, exceptions in halves:
             # The rule's members between consecutive exceptions, and each
             # exception the rule leaves out.
             for x in (*exceptions, b + 1):
@@ -304,60 +345,58 @@ class PeriodicSet:
         """Members among the first ``m`` universe elements, in universe order."""
         if m < 0:
             raise ValueError("prefix length must be >= 0")
-        return tuple(
-            x for x in (universe_elem(i) for i in range(1, m + 1)) if x in self
-        )
+        return tuple(self._members(m))
 
     def iter_universe_order(self) -> Iterator[int]:
         """Yield every member exactly once, in zigzag universe order.
 
         Terminates for finite sets, runs forever for infinite ones.
         """
-        card = self.cardinality()
-        if card.is_empty:
-            return
-        remaining = card.count
-        rank = 1
-        while True:
-            x = universe_elem(rank)
-            if x in self:
-                yield x
-                if remaining is not None:
-                    remaining -= 1
-                    if remaining == 0:
-                        return
-            rank += 1
+        return self._members()
 
-    def first_not_in(
-        self, seen: Callable[[int], bool] | Container[int] | RankedSample
-    ) -> int | None:
-        """First member (universe order) outside ``seen``; None if exhausted.
-
-        ``seen`` is a predicate, any container, or a sample that keeps its
-        members' ranks as a bit set (``RevealedSet``).  A sample is scanned
-        in ``rank_mask_block`` chunks of doubling width against that bit
-        set, with no Python call per rank.
-        """
-        ranks = getattr(seen, "ranks", None)
-        if ranks is None:
-            check = seen if callable(seen) else seen.__contains__
-            for x in self.iter_universe_order():
-                if not check(x):
-                    return x
-            return None
-        card = self.cardinality()
-        if card.is_infinite:
-            last: float = inf
-        else:
-            last = 0 if card.is_empty else max(universe_index(self.lo), universe_index(self.hi))
-        start, width = 1, 64
-        while start <= last:
-            free = self.rank_mask_block(start, width) & ~(ranks >> (start - 1))
+    def first_not_in(self, seen: RankedSample) -> int | None:
+        """First member (universe order) outside ``seen``, each chunk of the
+        walk tested against its rank bit set; None if exhausted."""
+        ranks = seen.ranks
+        for start, bits in self._chunks():
+            free = bits & ~(ranks >> (start - 1))
             if free:
                 return universe_elem(start + (free & -free).bit_length() - 1)
-            start += width
-            width *= 2
         return None
+
+    def _members(self, stop: float = inf) -> Iterator[int]:
+        """The members at ranks 1..``stop``, in universe order, read off the
+        bits of each chunk of the walk."""
+        for start, bits in self._chunks(stop):
+            digits = format(bits, "b")[::-1]
+            i = digits.find("1")
+            while i >= 0:
+                yield universe_elem(start + i)
+                i = digits.find("1", i + 1)
+
+    def _chunks(self, stop: float = inf) -> Iterator[tuple[int, int]]:
+        """The member walk over ranks 1..``stop``: ``(start, rank mask)``
+        chunks whose width doubles from 64 up to 2**16 (an 8 KB mask).  After
+        an empty chunk it jumps to the next rank that can hold a member, and
+        it ends when there is none."""
+        start, width = 1, 64
+        while start <= stop:
+            count = min(start + width, stop + 1) - start
+            bits = self.rank_mask_block(start, count)
+            yield start, bits
+            start += count
+            width = min(2 * width, 1 << 16)
+            if not bits:
+                # On each side of zero, the near end of the first piece whose
+                # rule has residues, or else the first exception (a member)
+                # of one whose rule has none.
+                up = (p for p in self._parts(max((start + 1) // 2, 1), inf) if p[2][1] or p[3])
+                down = (p for p in reversed([*self._parts(-inf, -(start // 2))]) if p[2][1] or p[3])
+                near = [universe_index(a if r[1] else e[0]) for a, _, r, e in islice(up, 1)]
+                near += [universe_index(b if r[1] else e[-1]) for _, b, r, e in islice(down, 1)]
+                if not near:
+                    return
+                start = min(near)
 
     def membership_range(self, lo: int, hi: int) -> list[bool]:
         """Membership table for every integer in [lo, hi], inclusive."""
@@ -678,6 +717,7 @@ def _half(
             count -= 2 * sum(map(residues.__contains__, map(period.__rmod__, flips)))
         if count < fewest:
             best, fewest = tail, count
+    _check_listed(fewest)
     if not fewest:
         return best, ()
     exceptions: set[int] = set()

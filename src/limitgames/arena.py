@@ -32,6 +32,8 @@ from .setspec import SetSpecError, format_set, parse
 
 TRACE_SCHEMA = "limitgames.trace.v1"
 VERDICT_SCHEMA = "limitgames.verdict.v1"
+# The longest game a scenario may ask for.
+MAX_HORIZON = 1 << 20
 
 
 class GameKind(str, Enum):
@@ -262,8 +264,8 @@ class ScenarioSpec:
     harm_coll: LanguageCollection | None = None
 
     def validate(self) -> None:
-        if self.horizon < 1:
-            raise ScenarioError("horizon must be >= 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ScenarioError(f"horizon must be in 1..MAX_HORIZON = {MAX_HORIZON}")
         if not 1 <= self.window < self.horizon:
             raise ScenarioError("window must satisfy 1 <= window < horizon")
         if self.game in (GameKind.SI, GameKind.LI) and self.true_coll is None:

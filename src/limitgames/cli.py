@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebra import PeriodLimitError
+from .algebra import LimitError
 from .arena import (
     RunResult,
     ScenarioError,
@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_check_algebra(args)
         if args.command == "replay":
             return _cmd_replay(args)
-    except (ScenarioError, PeriodLimitError, OSError, UnicodeDecodeError) as exc:
+    except (ScenarioError, LimitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

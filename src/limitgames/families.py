@@ -19,6 +19,7 @@ from typing import Callable, Literal, Sequence
 from .algebra import (
     PeriodicSet,
     all_integers,
+    check_rank,
     even_nonnegatives,
     naturals,
     negative_integers,
@@ -81,7 +82,7 @@ class RevealedSet:
     @property
     def ranks(self) -> int:
         for ex in self.events[self._ranked :]:
-            self._ranks |= 1 << (universe_index(ex.element) - 1)
+            self._ranks |= 1 << (check_rank(universe_index(ex.element)) - 1)
         self._ranked = len(self.events)
         return self._ranks
 
@@ -169,6 +170,8 @@ class LanguageCollection:
     def _validate_telltales(self) -> None:
         assert self.telltales is not None and self.length is not None
         for i, tell in self.telltales.items():
+            if not 1 <= i <= self.length:
+                raise CollectionError(f"telltale key {i} is not an index in 1..{self.length}")
             lang = self.at(i)
             if not all(x in lang for x in tell):
                 raise CollectionError(

@@ -58,7 +58,7 @@ from math import inf
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
 
-from .algebra import Cardinality, PeriodicSet, difference, universe_elem, universe_index
+from .algebra import Cardinality, PeriodicSet, check_rank, difference, universe_elem, universe_index
 from .families import (
     LabeledExample,
     LanguageCollection,
@@ -425,9 +425,9 @@ def telltale_safe_generate(
         raise RuntimeError("no critical candidate among the consistent ones")
     k_lang = coll_true.at(kc)
     diff = k_lang - (coll_harm.at(hc) if hc is not None else PeriodicSet.empty())
-    word = diff.first_not_in(seen)
+    word = diff.first_not_in(revealed)
     if word is None:
-        word = k_lang.first_not_in(seen)
+        word = k_lang.first_not_in(revealed)
         if word is None:
             raise RuntimeError("an infinite candidate has no unseen member")
     return LearnerOutput.generate(word)
@@ -687,7 +687,7 @@ class _DropWalker:
         the candidates that died."""
         new = [0, 0]  # the new ranks of each label, as bit sets
         for ex in revealed.events[self._consumed :]:
-            rank = universe_index(ex.element)
+            rank = check_rank(universe_index(ex.element))
             new[ex.label] |= 1 << (rank - 1)
             if rank > self._max_rank:
                 self._max_rank = rank

@@ -29,8 +29,8 @@ import re
 
 from .algebra import (
     _ABSENT,
+    LimitError,
     PeriodicSet,
-    PeriodLimitError,
     _settle,
     all_integers,
     even_nonnegatives,
@@ -171,12 +171,12 @@ class _Parser:
 
 def parse(text: str) -> PeriodicSet:
     """Parse a set expression into a canonical PeriodicSet.  An expression
-    that needs a tail period, or an lcm of two, above ``algebra.MAX_PERIOD``
-    is malformed."""
+    that needs a tail period, or an lcm of two, above ``algebra.MAX_PERIOD``,
+    or a listing above ``algebra.MAX_LISTED``, is malformed."""
     try:
         printed = _parse_printed(text)
         return printed if printed is not None else _Parser(text).parse()
-    except PeriodLimitError as exc:
+    except LimitError as exc:
         raise SetSpecError(str(exc)) from None
 
 

@@ -5,12 +5,15 @@ membership one integer at a time over a window widened by both tail
 periods.  They are slow but obviously correct, and the differential tests
 compare the residue-arithmetic operations of ``limitgames.algebra`` with
 them field for field: each returns the canonical form's field tuple.
+The member walk (``prefix``, ``iter_universe_order``, ``first_not_in``) is
+compared with scans that test one universe rank at a time.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import lcm
-from typing import Callable
+from typing import Callable, Container, Iterator
 
 from limitgames.algebra import PeriodicSet, universe_elem
 
@@ -161,3 +164,31 @@ def rank_mask_block(s: PeriodicSet, start_rank: int, count: int) -> int:
         if universe_elem(start_rank + i) in s:
             bits |= 1 << i
     return bits
+
+
+def iter_universe_order(s: PeriodicSet) -> Iterator[int]:
+    """Every member in universe order, one rank at a time, stopping after
+    the last member of a finite set (counted from the cardinality)."""
+    card = s.cardinality()
+    if card.is_empty:
+        return
+    remaining = card.count
+    for rank in count(1):
+        x = universe_elem(rank)
+        if x in s:
+            yield x
+            if remaining is not None:
+                remaining -= 1
+                if remaining == 0:
+                    return
+
+
+def prefix(s: PeriodicSet, m: int) -> tuple[int, ...]:
+    """Members among the first ``m`` universe elements, one rank at a time."""
+    return tuple(x for x in map(universe_elem, range(1, m + 1)) if x in s)
+
+
+def first_not_in(s: PeriodicSet, seen: Container[int]) -> int | None:
+    """The first member, in universe order, outside ``seen``, one rank at a
+    time; None if there is none."""
+    return next((x for x in iter_universe_order(s) if x not in seen), None)

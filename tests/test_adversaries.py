@@ -196,7 +196,7 @@ def test_diagonal_flush_covers_skipped_prefix():
         emitted.add((em.example.element, em.example.label))
         revealed.add(em.example)
         k, h = adv.current_pair()
-        word = (k - h).first_not_in(revealed.contains)
+        word = (k - h).first_not_in(revealed)
         return LearnerOutput.generate(word) if word is not None else LearnerOutput.bottom()
 
     drain(adv, 400, respond=learner)

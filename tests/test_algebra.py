@@ -1,12 +1,19 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointwise_algebra as pointwise
 from limitgames.algebra import (
+    MAX_LISTED,
     MAX_PERIOD,
     Cardinality,
+    LimitError,
     PeriodicSet,
     PeriodLimitError,
     all_integers,
@@ -166,7 +173,7 @@ def sample(*xs):
 
 def seen_forms(*xs):
     """``xs`` as each kind of argument ``first_not_in`` takes."""
-    return (set(xs), frozenset(xs), set(xs).__contains__, sample(*xs))
+    return (sample(*xs),)
 
 
 def test_first_not_in():
@@ -221,6 +228,30 @@ def test_period_limit():
     s = PeriodicSet.ray(0, 256) | PeriodicSet.ray(0, 255)
     assert s.pos_period == 256 * 255 <= MAX_PERIOD and 510 in s and 511 not in s
     assert s.complement().complement() == s
+
+
+def test_listed_limit():
+    # A bounded periodic run is stored point by point: canonicalizing one
+    # whose half lists more than MAX_LISTED points against its rule fails
+    # before the listing.
+    with pytest.raises(LimitError, match="MAX_LISTED"):
+        odd_positives() & PeriodicSet.ray(10**9, -1)
+    # A set stored in a few fields may still hold too many window members
+    # to list: ``window`` counts them from the halves first.
+    wide = PeriodicSet.ray(-(10**9), 1) - PeriodicSet.finite({5})
+    assert wide.pos_exceptions == (5,)
+    with pytest.raises(LimitError, match="MAX_LISTED"):
+        wide.window
+    # Both still list at the limit, and not one point past it.
+    run = naturals() & PeriodicSet.ray(MAX_LISTED - 1, -1)
+    assert len(run.window) == MAX_LISTED
+    with pytest.raises(LimitError, match="MAX_LISTED"):
+        (naturals() & PeriodicSet.ray(MAX_LISTED, -1)).window
+    # The odd numbers up to 2 * MAX_LISTED + 1 leave out MAX_LISTED points.
+    half = odd_positives() & PeriodicSet.ray(2 * MAX_LISTED + 1, -1)
+    assert len(half.pos_exceptions) == MAX_LISTED
+    with pytest.raises(LimitError, match="MAX_LISTED"):
+        odd_positives() & PeriodicSet.ray(2 * MAX_LISTED + 3, -1)
 
 
 def test_build_validates():
@@ -319,5 +350,86 @@ def test_prefix_monotone(s, m):
 def test_first_not_in_sample_matches_rank_scan(s, k, extra):
     # The mask scan over a sample's rank bits against the rank-by-rank scan,
     # with the first k members seen so the answer may lie past a chunk.
-    seen = set(itertools.islice(s.iter_universe_order(), k)) | extra
-    assert s.first_not_in(sample(*seen)) == s.first_not_in(seen)
+    seen = set(itertools.islice(pointwise.iter_universe_order(s), k)) | extra
+    assert s.first_not_in(sample(*seen)) == pointwise.first_not_in(s, seen)
+
+
+@st.composite
+def spread_set(draw):
+    """A few points spread over thousands of ranks, with a ray or its
+    complement, so the walk meets empty chunks and jumps over them."""
+    points = PeriodicSet.finite(draw(st.sets(st.integers(-3000, 3000), max_size=6)))
+    ray = PeriodicSet.ray(draw(st.integers(-3000, 3000)), draw(st.sampled_from([-5, -2, -1, 1, 3])))
+    op = draw(st.sampled_from(["points", "or", "sub", "complement"]))
+    if op == "points":
+        return points
+    if op == "or":
+        return points | ray
+    if op == "sub":
+        return ray - points
+    return (points | ray).complement()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(periodic_sets, spread_set()), st.integers(0, 7000), st.integers(0, 40))
+def test_walk_matches_rank_scan(s, m, k):
+    # The chunked walk against the rank-by-rank scans: a prefix cut at any
+    # rank, the first members, and every member of a finite set.
+    assert s.prefix(m) == pointwise.prefix(s, m)
+    walk = s.iter_universe_order()
+    assert list(itertools.islice(walk, k)) == list(
+        itertools.islice(pointwise.iter_universe_order(s), k)
+    )
+    if not s.cardinality().is_infinite:
+        assert list(s.iter_universe_order()) == list(pointwise.iter_universe_order(s))
+    seen = set(s.prefix(m))
+    assert s.first_not_in(sample(*seen)) == pointwise.first_not_in(s, seen)
+
+
+# Far-out sets the walk must cross by jumping over empty chunks, each read
+# in a fresh interpreter whose address space is capped at 1 GB: the first
+# members, a prefix cut at a rank among them, and the first member outside
+# an empty sample.  Each line is (expression, first members, cut, prefix).
+POWERS = [10**k for k in range(40)]
+SPARSE = [3**k for k in range(40)]
+FAR_OUT = [
+    ("Ray(1000000000,1)", [10**9 + i for i in range(5)], 2 * 10**9 + 4, [10**9 + i for i in range(3)]),
+    ("Ray(1000000000,-1)", [0, 1, -1, 2, -2], 4, [0, 1, -1, 2]),
+    ("Fin{1000000000}", [10**9], 2 * 10**9 - 1, []),
+    ("Fin{" + ",".join(map(str, POWERS)) + "}", POWERS, 2 * 10**20, POWERS[:21]),
+    (
+        "Fin{" + ",".join(map(str, SPARSE)) + "} | Ray(" + str(3**41) + ",1)",
+        SPARSE + [3**41 + i for i in range(5)],
+        2 * 3**41 + 1,
+        SPARSE + [3**41],
+    ),
+]
+
+_FAR_OUT_SCRIPT = """
+import itertools, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from limitgames.families import RevealedSet
+from limitgames.setspec import parse
+expr, count, cut = json.loads(sys.argv[1])
+start = time.perf_counter()
+s = parse(expr)
+first = list(itertools.islice(s.iter_universe_order(), count))
+prefix = s.prefix(cut)
+free = s.first_not_in(RevealedSet())
+print(json.dumps([first, prefix, free, time.perf_counter() - start]))
+"""
+
+
+@pytest.mark.parametrize("expr,first,cut,prefix", FAR_OUT, ids=range(len(FAR_OUT)))
+def test_far_out_walk_is_bounded(expr, first, cut, prefix):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    args = json.dumps([expr, len(first), cut])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAR_OUT_SCRIPT, args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got_first, got_prefix, free, seconds = json.loads(proc.stdout)
+    assert got_first == first and got_prefix == prefix
+    assert free == first[0]
+    assert seconds < 2.0

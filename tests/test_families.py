@@ -1,6 +1,8 @@
 import pytest
 
 from limitgames.algebra import (
+    MAX_RANK,
+    LimitError,
     PeriodicSet,
     all_integers,
     even_nonnegatives,
@@ -8,6 +10,7 @@ from limitgames.algebra import (
     negative_integers,
     odd_positives,
     q_set,
+    universe_elem,
     y_set,
 )
 from limitgames.families import (
@@ -186,6 +189,16 @@ def test_telltale_validation_accepts_good_declarations():
     assert coll2.telltale(1) == frozenset({0, 2})
 
 
+@pytest.mark.parametrize("key", [0, -3, 3])
+def test_telltale_key_outside_collection(key):
+    # Checked before the key is looked up: 0 and below have no language, and
+    # 3 would read the repeated final language of a collection of two.
+    with pytest.raises(CollectionError, match=f"telltale key {key} is not an index in 1..2"):
+        LanguageCollection.explicit(
+            "bad", [all_integers(), odd_positives()], telltales={key: frozenset({1})}
+        )
+
+
 def test_telltale_must_be_subset_of_language():
     with pytest.raises(CollectionError):
         LanguageCollection.explicit(
@@ -202,3 +215,12 @@ def test_missing_telltale():
     plain = LanguageCollection.explicit("p", [all_integers()])
     with pytest.raises(MissingTelltaleError):
         plain.telltale(1)
+
+
+def test_rank_limit_in_revealed_ranks():
+    # The rank bit set stops at MAX_RANK bits, checked before the shift.
+    r = revealed(pos=[universe_elem(MAX_RANK)])
+    assert r.ranks.bit_length() == MAX_RANK
+    r.add(LabeledExample(universe_elem(MAX_RANK + 1), 0))
+    with pytest.raises(LimitError, match="MAX_RANK"):
+        r.ranks

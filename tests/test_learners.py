@@ -1,7 +1,12 @@
 import itertools
 
+import pytest
+
 from limitgames.adversaries import FairInterleaver
 from limitgames.algebra import (
+    MAX_RANK,
+    LimitError,
+    PeriodicSet,
     all_integers,
     even_nonnegatives,
     negative_integers,
@@ -329,3 +334,13 @@ def test_learner_output_helpers():
     assert g.is_generate and not g.is_bottom and not g.is_index
     assert LearnerOutput.bottom().is_bottom
     assert LearnerOutput.index(2).is_index
+
+
+def test_mask_learner_rank_limit():
+    # The masks are sized by the largest seen rank, checked against MAX_RANK
+    # before any mask is built: one far-out element would ask for a 250 MB
+    # mask per live candidate.
+    far = universe_elem(MAX_RANK + 1)
+    gen = ConservativePairGenerator(coll(I, PeriodicSet.ray(far, 1)))
+    with pytest.raises(LimitError, match="MAX_RANK"):
+        gen.step(revealed(pos=[far]), 1)

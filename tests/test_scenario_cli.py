@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from limitgames.arena import ScenarioError, run_game
+from limitgames.arena import MAX_HORIZON, ScenarioError, run_game
 from limitgames.cli import CATALOGUE, DEMOS, main
 from limitgames.scenario import Battery, load_file, parse_scenario
 
@@ -538,3 +538,57 @@ def test_cli_period_limit_in_validation_exits_2(tmp_path, capsys, fields):
     bad = gen_scenario(**fields)
     err = _run_bad(tmp_path, capsys, bad)
     assert "error: a tail period (or lcm of two) of 90300" in err and "MAX_PERIOD" in err
+
+
+# A four-step stream of a ray that starts at 10**9: its first member lies at
+# rank 2 * 10**9, which the member walk reaches by one jump.
+BIG_RAY = {
+    "horizon": 4,
+    "window": 2,
+    "adversary": {"kind": "positive_stream", "lang": "Ray(1000000000,1)"},
+}
+
+
+def test_cli_big_ray_game_exits_0(tmp_path, capsys):
+    scenario = gen_scenario(**BIG_RAY, learner={"kind": "always_bottom"})
+    path = write_json(tmp_path / "big.json", scenario)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "gen-demo.trace.jsonl").read_text().splitlines()
+    assert [json.loads(row)["element"] for row in rows[1:5]] == [10**9 + i for i in range(4)]
+
+
+def test_cli_rank_limit_exits_2(tmp_path, capsys):
+    # The critical learner's masks would reach rank 2 * 10**9.
+    err = _run_bad(tmp_path, capsys, gen_scenario(**BIG_RAY))
+    assert "error: universe rank 2000000000 exceeds the limit MAX_RANK" in err
+
+
+@pytest.mark.parametrize(
+    "fields,where",
+    [
+        (
+            {"true_collection": {"kind": "explicit", "sets": ["I", "O & Ray(1000000000,-1)"]}},
+            "error: bad set expression in true_collection.sets:",
+        ),
+        (
+            {"adversary": {"kind": "positive_stream", "lang": "Ray(-1000000000,1) \\ Fin{5}"}},
+            "error: listing",
+        ),
+    ],
+    ids=["half", "window"],
+)
+def test_cli_listed_limit_exits_2(tmp_path, capsys, fields, where):
+    # The first set's window half lists 5 * 10**8 points against its rule;
+    # the second is stored in a few fields, but printing the committed pair
+    # would list 10**9 window members.
+    err = _run_bad(tmp_path, capsys, gen_scenario(**fields))
+    assert where in err and "MAX_LISTED" in err
+
+
+def test_cli_horizon_limit_exits_2(tmp_path, capsys):
+    err = _run_bad(tmp_path, capsys, gen_scenario(horizon=MAX_HORIZON + 1))
+    assert "error: horizon must be in 1..MAX_HORIZON" in err
+    path = write_json(tmp_path / "gen.json", gen_scenario())
+    override = ["--horizon-override", str(MAX_HORIZON + 1)]
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), *override]) == 2
+    assert "error: horizon must be in 1..MAX_HORIZON" in capsys.readouterr().err
