@@ -51,7 +51,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from math import inf, lcm
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
@@ -241,20 +241,12 @@ class PeriodicSet:
 
     @staticmethod
     def finite(values: Iterable[int]) -> "PeriodicSet":
-        vals = frozenset(values)
-        if not vals:
-            return PeriodicSet.empty()
-        return PeriodicSet.build(1, (), min(vals), max(vals), vals, 1, ())
+        return ray_union((), values)
 
     @staticmethod
     def ray(start: int, step: int) -> "PeriodicSet":
         """The arithmetic ray start, start+step, start+2*step, ... (step != 0)."""
-        if step == 0:
-            raise ValueError("ray step must be nonzero")
-        if step > 0:
-            return PeriodicSet.build(1, (), start, start, {start}, step, {start % step})
-        d = -step
-        return PeriodicSet.build(d, {start % d}, start, start, {start}, 1, ())
+        return ray_union([(start, step)], ())
 
     # ------------------------------------------------------------------
     # Queries
@@ -740,6 +732,34 @@ def _combine(
     points = sorted({*a.neg_exceptions, *a.pos_exceptions, *b.neg_exceptions, *b.pos_exceptions})
     inside = op(_members_at(a, points), _members_at(b, points)) if points else _NONE
     return _settle(cuts, rules, points, inside)
+
+
+def ray_union(rays: Sequence[tuple[int, int]], points: Iterable[int]) -> PeriodicSet:
+    """The union of the rays ``(start, step)`` (as in ``PeriodicSet.ray``) and
+    the finite set ``points``, canonicalized once: the cuts are the ray starts,
+    widened to the points' span, and each piece follows the union of the rays
+    that cover it, swept in from each end."""
+    if not all(step for _, step in rays):
+        raise ValueError("ray step must be nonzero")
+    inside = frozenset(points)
+    listed = sorted(inside)
+    # A ray up from s covers the pieces from cut s on, and one down from s
+    # the pieces below cut s + 1; the points lie between the outer cuts.
+    cuts = {start + (step < 0) for start, step in rays}
+    if listed:
+        cuts |= {min([listed[0], *cuts]), max([listed[-1] + 1, *cuts])}
+    cuts = sorted(cuts)
+    up, down = [_ABSENT] * (len(cuts) + 1), [_ABSENT] * (len(cuts) + 1)
+    for start, step in rays:
+        period = _check_period(abs(step))
+        side, i = (up, bisect_left(cuts, start) + 1) if step > 0 else (down, bisect_left(cuts, start + 1))
+        side[i] = _union(side[i], (period, frozenset({start % period})))
+    down = [*accumulate(reversed(down), _union)][::-1]
+    return _settle(cuts, list(map(_union, accumulate(up, _union), down)), listed, inside)
+
+
+def _union(a: Rule, b: Rule) -> Rule:
+    return b if a is _ABSENT else a if b is _ABSENT else _pointwise(operator.or_, a, b)
 
 
 def _members_at(s: PeriodicSet, points: list[int]) -> frozenset[int]:

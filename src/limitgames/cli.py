@@ -17,6 +17,7 @@ identical trace files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -83,13 +84,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write_result(result: RunResult, out_dir: Path) -> None:
+    """Write both files under temporary names, then move them into place, so
+    a failed run leaves the files of an earlier run as they were."""
     out_dir.mkdir(parents=True, exist_ok=True)
     name = result.trace.scenario
-    with open(out_dir / f"{name}.trace.jsonl", "w") as f:
-        f.writelines(result.trace.lines())
-    (out_dir / f"{name}.verdict.json").write_text(
-        result.verdict.to_json(name) + "\n"
-    )
+    trace, verdict = out_dir / f"{name}.trace.jsonl", out_dir / f"{name}.verdict.json"
+    temps = [path.with_name(path.name + ".tmp") for path in (trace, verdict)]
+    try:
+        with open(temps[0], "w") as f:
+            f.writelines(result.trace.lines())
+        temps[1].write_text(result.verdict.to_json(name) + "\n")
+        os.replace(temps[0], trace)
+        os.replace(temps[1], verdict)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def _cmd_run(args) -> int:

@@ -256,6 +256,9 @@ def _without(key):
 # which json.loads refuses with a plain ValueError.
 HUGE_INT = "7" * 5000
 
+# A set expression nested 5000 levels deep, past the parser's recursion.
+DEEP = "(" * 5000 + "O" + ")" * 5000
+
 
 def _huge(key):
     return lambda row: json.dumps({**row, key: 0}).replace(f'"{key}": 0', f'"{key}": {HUGE_INT}')
@@ -279,6 +282,11 @@ def _huge(key):
         (4, lambda row: {**row, "output": "generate", "value": None}, "trace line 4: field 'value'"),
         (4, _huge("element"), "trace line 4: not valid JSON (Exceeds the limit"),
         (1, _huge("horizon"), "trace line 1: not valid JSON (Exceeds the limit"),
+        (
+            2,
+            lambda row: {**row, "pair": [DEEP, "O"]},
+            "trace line 2: field 'pair': expression nested too deeply",
+        ),
         *[
             (
                 2,
@@ -491,10 +499,30 @@ def test_cli_non_integer_telltale_key_exits_2(tmp_path, capsys):
             )
             for key in ("0", "-3", "99")
         ),
+        (
+            gen_scenario(adversary={"kind": "positive_stream", "lang": DEEP}),
+            "bad set expression in adversary.lang: expression nested too deeply",
+        ),
     ],
 )
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, scenario, field):
     assert f"error: {field}" in _run_bad(tmp_path, capsys, scenario)
+
+
+def test_cli_failed_run_keeps_earlier_result_files(tmp_path, capsys):
+    # The second run fails while printing its trace (listing the committed
+    # pair's window would pass MAX_LISTED); the first run's two files stay
+    # byte for byte, and no temporary file is left beside them.
+    out = tmp_path / "out"
+    path = write_json(tmp_path / "gen.json", gen_scenario())
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["gen-demo.trace.jsonl", "gen-demo.verdict.json"]
+    lang = "Ray(-1000000000,1) \\ Fin{5}"
+    write_json(path, gen_scenario(adversary={"kind": "positive_stream", "lang": lang}))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "MAX_LISTED" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("text", HUGE_PERIODS)
