@@ -50,7 +50,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import accumulate, chain, islice
 from math import inf, lcm
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
@@ -241,12 +241,20 @@ class PeriodicSet:
 
     @staticmethod
     def finite(values: Iterable[int]) -> "PeriodicSet":
-        return ray_union((), values)
+        vals = frozenset(values)
+        if not vals:
+            return PeriodicSet.empty()
+        return PeriodicSet.build(1, (), min(vals), max(vals), vals, 1, ())
 
     @staticmethod
     def ray(start: int, step: int) -> "PeriodicSet":
         """The arithmetic ray start, start+step, start+2*step, ... (step != 0)."""
-        return ray_union([(start, step)], ())
+        if step == 0:
+            raise ValueError("ray step must be nonzero")
+        if step > 0:
+            return PeriodicSet.build(1, (), start, start, {start}, step, {start % step})
+        d = -step
+        return PeriodicSet.build(d, {start % d}, start, start, {start}, 1, ())
 
     # ------------------------------------------------------------------
     # Queries
@@ -736,26 +744,52 @@ def _combine(
 
 def ray_union(rays: Sequence[tuple[int, int]], points: Iterable[int]) -> PeriodicSet:
     """The union of the rays ``(start, step)`` (as in ``PeriodicSet.ray``) and
-    the finite set ``points``, canonicalized once: the cuts are the ray starts,
-    widened to the points' span, and each piece follows the union of the rays
-    that cover it, swept in from each end."""
+    the finite set ``points``, canonicalized once.
+
+    A ray up from s with period d is exactly its residue class from any cut
+    in (s - d, s], and a ray down from s below any cut in (s, s + d].  So the
+    rays of each direction share one cut while they start within one period
+    of it (``_shared_cuts``), each cut's rays give one rule, and each piece
+    follows the union of the rules of the cuts that cover it, swept in from
+    each end.  The rays ``format_set`` prints share one cut per direction, so
+    a printed set settles over at most four cuts in O(period)."""
     if not all(step for _, step in rays):
         raise ValueError("ray step must be nonzero")
     inside = frozenset(points)
     listed = sorted(inside)
-    # A ray up from s covers the pieces from cut s on, and one down from s
-    # the pieces below cut s + 1; the points lie between the outer cuts.
-    cuts = {start + (step < 0) for start, step in rays}
+    up = _shared_cuts(sorted((start, step, start % step) for start, step in rays if step > 0))
+    # A descending ray is grouped as its mirror image, up from -start.
+    mirrored = sorted((-start, -step, start % -step) for start, step in rays if step < 0)
+    down = [(1 - at, rule) for at, rule in _shared_cuts(mirrored)]
+    # The points lie between the outer cuts.
+    cuts = {at for at, _ in up} | {at for at, _ in down}
     if listed:
         cuts |= {min([listed[0], *cuts]), max([listed[-1] + 1, *cuts])}
     cuts = sorted(cuts)
-    up, down = [_ABSENT] * (len(cuts) + 1), [_ABSENT] * (len(cuts) + 1)
-    for start, step in rays:
-        period = _check_period(abs(step))
-        side, i = (up, bisect_left(cuts, start) + 1) if step > 0 else (down, bisect_left(cuts, start + 1))
-        side[i] = _union(side[i], (period, frozenset({start % period})))
-    down = [*accumulate(reversed(down), _union)][::-1]
-    return _settle(cuts, list(map(_union, accumulate(up, _union), down)), listed, inside)
+    ups, downs = [_ABSENT] * (len(cuts) + 1), [_ABSENT] * (len(cuts) + 1)
+    for at, rule in up:
+        ups[bisect_left(cuts, at) + 1] = rule
+    for at, rule in down:
+        downs[bisect_left(cuts, at)] = rule
+    downs = [*accumulate(reversed(downs), _union)][::-1]
+    return _settle(cuts, list(map(_union, accumulate(ups, _union), downs)), listed, inside)
+
+
+def _shared_cuts(rays: list[tuple[int, int, int]]) -> list[tuple[int, Rule]]:
+    """The ascending rays ``(start, period, residue)``, sorted by start,
+    grouped from the lowest start up: a ray joins the group of the last cut
+    when it starts less than one period above it, else it opens a cut at its
+    start.  Each cut with the union of its rays' residue classes, gathered
+    per period first."""
+    groups: list[tuple[int, dict[int, set[int]]]] = []
+    for start, period, residue in rays:
+        if not groups or start - groups[-1][0] >= period:
+            groups.append((start, {}))
+        groups[-1][1].setdefault(period, set()).add(residue)
+    return [
+        (at, reduce(_union, [(_check_period(p), frozenset(r)) for p, r in sorted(by_period.items())]))
+        for at, by_period in groups
+    ]
 
 
 def _union(a: Rule, b: Rule) -> Rule:

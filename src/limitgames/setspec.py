@@ -48,12 +48,8 @@ class SetSpecError(ValueError):
 # is not a JSON list of integers is lexed again by _FIN_FALLBACK: as one
 # malformed Fin token if it holds only digits, signs, spaces and commas, else
 # as the word Fin, so that a stray character in it is reported where it lies.
-_TOKEN = re.compile(r"\s*(Fin\s*\{([^}]*)\}|Ray\((-?\d+),(-?\d+)\)|-?\d+|[A-Za-z]+|[(){},|&\\])")
+_TOKEN = re.compile(r"\s*(Fin\s*\{([^{}]*)\}|Ray\((-?\d+),(-?\d+)\)|-?\d+|[A-Za-z]+|[(){},|&\\])")
 _FIN_FALLBACK = re.compile(r"\s*(Fin\s*\{[-\d\s,]*\}|Fin)")
-
-_NAMED = {"I": all_integers, "O": odd_positives, "E": even_nonnegatives, "N": negative_integers}
-# The atoms of one argument a: the largest a allowed, and the set of -a.
-_CALLS = {"Y": (0, y_set), "Q": (-1, q_set)}
 
 
 def _tokenize(text: str) -> list[tuple[str, int, object]]:
@@ -110,6 +106,9 @@ class _Parser:
         self.i += 1
         return tok
 
+    def take_int(self) -> int:
+        return _int(self.take())
+
     def parse(self) -> PeriodicSet:
         result = self.expr()
         if self.i < len(self.tokens):
@@ -154,29 +153,41 @@ class _Parser:
     def atom(self) -> PeriodicSet | tuple:
         tok = self.take()
         _, at, value = self.tokens[self.i - 1]
-        if tok in _NAMED:
-            return _NAMED[tok]()
-        if tok in _CALLS:
-            most, build = _CALLS[tok]
+        if tok == "I":
+            return all_integers()
+        if tok == "O":
+            return odd_positives()
+        if tok == "E":
+            return even_nonnegatives()
+        if tok == "N":
+            return negative_integers()
+        if tok == "Y":
             self.take("(")
-            arg = _int(self.take())
+            arg = self.take_int()
             self.take(")")
-            if arg > most:
-                raise SetSpecError(f"{tok} argument must be <= {most}")
-            return build(-arg)
+            if arg > 0:
+                raise SetSpecError("Y argument must be <= 0")
+            return y_set(-arg)
+        if tok == "Q":
+            self.take("(")
+            arg = self.take_int()
+            self.take(")")
+            if arg > -1:
+                raise SetSpecError("Q argument must be <= -1")
+            return q_set(-arg)
         if tok == "Ray":
             if value is not None:
                 start, step = map(_int, value)
             else:
                 self.take("(")
-                start = _int(self.take())
+                start = self.take_int()
                 self.take(",")
-                step = _int(self.take())
+                step = self.take_int()
                 self.take(")")
             if step == 0:
                 raise SetSpecError("Ray step must be nonzero")
             return [(start, step)], []
-        if tok.startswith("Fin") and (tok == "Fin" or tok.endswith("}")):
+        if tok == "Fin" or tok.startswith("Fin") and tok.endswith("}"):
             if value is None:
                 raise SetSpecError(f"malformed Fin list at position {at}")
             return [], value

@@ -1,5 +1,8 @@
+import os
 import random
+import subprocess
 import sys
+import time
 from functools import reduce
 from operator import or_
 
@@ -104,6 +107,43 @@ def test_printed_path_reads_fuzz_and_wide_sets():
     sets += wide_operands(1000, 3) + wide_operands(100_000, 3) + NAMED
     for s in sets:
         assert parse(format_set(s)) == s, s
+
+
+_WIDE_TAIL_SCRIPT = """
+import random, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from limitgames.algebra import PeriodicSet
+from limitgames.setspec import format_set, parse
+rng = random.Random(1)
+p = 1 << 16
+s = PeriodicSet.build(p, rng.sample(range(p), p // 2), -5, 7, [-3, 0, 2], p, rng.sample(range(p), p // 2))
+text = format_set(s)
+start = time.perf_counter()
+assert parse(text) == s
+print(text.count("Ray("), s.neg_period, s.pos_period, time.perf_counter() - start)
+"""
+
+
+def test_wide_printed_tails_read_in_bounded_time_and_memory():
+    """A printed set with 32768 rays per direction, of period 2^16, settles
+    over one cut per direction: within 5 s and a 1 GB address space."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDE_TAIL_SCRIPT],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rays, neg_period, pos_period, seconds = proc.stdout.split()
+    assert (int(rays), int(neg_period), int(pos_period)) == (1 << 16, 1 << 16, 1 << 16)
+    assert float(seconds) < 5.0
+
+
+@pytest.mark.parametrize("text", ["Fin{" * 100_000, "Fin{" * 100_000 + "}", "Fin{1," * 100_000 + "}"])
+def test_unclosed_fin_lists_lex_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(SetSpecError, match="malformed Fin list at position 0"):
+        parse(text)
+    assert time.perf_counter() - start < 5.0
 
 
 HUGE = "9" * 5000
