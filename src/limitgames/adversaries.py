@@ -20,9 +20,9 @@ from typing import Protocol
 from .algebra import (
     PeriodicSet,
     all_integers,
+    difference,
     even_nonnegatives,
     negative_integers,
-    q_set,
     y_set,
 )
 from .families import LabeledExample, LanguageCollection, diagonal_trap_witness
@@ -106,10 +106,8 @@ class PhasedInjectionAdversary:
         self._pending: deque[int] = deque()
         self._last_was_injection = False
         self._true = all_integers()
-        # Q(-phase) and the committed harm language Y(-(phase-1)), rebuilt
-        # only when the phase advances.  The harm language is built by the
-        # next current_pair, so no step pays for both builds.
-        self._safe = q_set(self.phase)
+        # The committed harm language Y(-(phase-1)), rebuilt by the first
+        # current_pair after the phase advances.
         self._harm: PeriodicSet | None = None
         self.injections: list[tuple[int, int]] = []  # (step, depth)
 
@@ -125,11 +123,11 @@ class PhasedInjectionAdversary:
     def observe(self, output: LearnerOutput) -> None:
         if not output.is_index:
             return
-        guessed = self.coll_true.at(output.value)
-        if guessed == self._safe:
+        # The safe language I - Y(-(phase-1)) is Q(-phase); in an si game the
+        # referee's scoring has already put it in the pair-difference memo.
+        if self.coll_true.at(output.value) == difference(*self.current_pair()):
             self._pending.append(self.phase)
             self.phase += 1
-            self._safe = q_set(self.phase)
             self._harm = None
 
     def current_pair(self) -> tuple[PeriodicSet, PeriodicSet]:

@@ -810,11 +810,11 @@ def _members_at(s: PeriodicSet, points: list[int]) -> frozenset[int]:
 
 # One memo of pair differences (true minus harm) for a whole game: the
 # scorer (``arena.score_step``, ``arena.judge``), ``reference_safe_generate``
-# (so the probes of ``ProbeIdentifier``), ``TelltaleGenerator`` and
-# ``ConservativePairGenerator`` all ask for the differences of the same few
-# pairs step after step.  A repeated pair returns the same instance.
-# The arena's referee clears it when a game or a replay starts, so it
-# holds one game's pairs, not a battery's.
+# (so the probes of ``ProbeIdentifier``), ``TelltaleGenerator``,
+# ``ConservativePairGenerator`` and ``PhasedInjectionAdversary`` all ask for
+# the differences of the same few pairs step after step.  A repeated pair
+# returns the same instance.  The arena's referee clears it when a game or a
+# replay starts, so it holds one game's pairs, not a battery's.
 @lru_cache(maxsize=None)
 def difference(true_lang: PeriodicSet, harm_lang: PeriodicSet) -> PeriodicSet:
     return true_lang - harm_lang

@@ -292,34 +292,3 @@ def diagonal_trap_witness(max_value: int) -> tuple[int, int, int]:
     index = hole // 2 + 1
     return index, index, hole
 
-
-def validate_diagonal_trap(true_coll: LanguageCollection, harm_coll: LanguageCollection) -> None:
-    """Exhaustively verify the vanishing-difference property at desk scale.
-
-    For finite samples drawn from the first 64 universe elements of
-    the top pair, the witness refinement must contain the sample on both
-    sides, be a proper subset of its top language, and keep an infinite
-    difference.  Containment of the full prefix covers all of its subsets,
-    so checking prefix bounds is exhaustive.
-    """
-    top_true = true_coll.at(1)
-    top_harm = harm_coll.at(1)
-    if not (top_true - top_harm).cardinality().is_empty:
-        raise CollectionError("top pair must have an empty difference")
-    for bound in (0, 1, 4, 32, 64):
-        sample_true = top_true.prefix(bound)
-        sample_harm = top_harm.prefix(bound)
-        max_value = max([0, *sample_true, *sample_harm])
-        i_true, i_harm, _hole = diagonal_trap_witness(max_value)
-        ref_true = true_coll.at(i_true)
-        ref_harm = harm_coll.at(i_harm)
-        if not all(x in ref_true for x in sample_true):
-            raise CollectionError(f"witness true language misses the sample (bound {bound})")
-        if not all(x in ref_harm for x in sample_harm):
-            raise CollectionError(f"witness harm language misses the sample (bound {bound})")
-        if not ref_true < top_true:
-            raise CollectionError("witness true language is not a proper refinement")
-        if not ref_harm < top_harm:
-            raise CollectionError("witness harm language is not a proper refinement")
-        if not (ref_true - ref_harm).cardinality().is_infinite:
-            raise CollectionError("witness pair difference is not infinite")

@@ -58,7 +58,9 @@ from math import inf
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
 
-from .algebra import Cardinality, PeriodicSet, check_rank, difference, universe_elem, universe_index
+from .algebra import (
+    MAX_RANK, Cardinality, PeriodicSet, check_rank, difference, universe_elem, universe_index,
+)
 from .families import (
     LabeledExample,
     LanguageCollection,
@@ -694,7 +696,7 @@ class _DropWalker:
         self._consumed = len(revealed.events)
         length = self._sides[0].length
         if self._max_rank > length:
-            length = max(self._max_rank, 2 * length, 64)
+            length = max(self._max_rank, min(2 * length, MAX_RANK), 64)
         dead: list[_Candidate] = []
         for side in self._sides:
             side.grow(length)
@@ -716,7 +718,9 @@ class _DropWalker:
         When neither lies within the masks, their length doubles, even past
         ``bound`` (to less than twice it): ranks and drop points beyond the
         bound are read and refused like any other, and the longer masks
-        serve the later steps, whose bound is higher.
+        serve the later steps, whose bound is higher.  The masks stop at
+        ``MAX_RANK``; a walk that must read past it below ``bound`` raises
+        LimitError.
         """
         true = self._sides[0]
         harm = self._sides[1] if len(self._sides) > 1 and self._sides[1].live else None
@@ -731,7 +735,8 @@ class _DropWalker:
             rank = _lowest(avail)
             first = min(rank, drop)
             if first == inf and true.length < bound:
-                length = 2 * true.length
+                check_rank(true.length + 1)
+                length = min(2 * true.length, MAX_RANK)
                 for side in self._sides:
                     side.grow(length)
                 continue

@@ -45,7 +45,6 @@ from .families import (
     LanguageCollection,
     diagonal_trap_collections,
     identification_trap_collections,
-    validate_diagonal_trap,
 )
 from .setspec import SetSpecError, parse
 
@@ -238,13 +237,15 @@ def _build_adversary(cfg: dict, true_coll, harm_coll):
             raise ScenarioError("phased_injection needs the true-side collection")
         return lambda: PhasedInjectionAdversary(true_coll)
     if kind == "diagonal":
-        if true_coll is None or harm_coll is None:
-            raise ScenarioError("diagonal needs both collections")
-        # The built-in trap pair is fixed, and the test suite validates it;
-        # any other pair is validated here.
-        if (true_coll.name, harm_coll.name) != ("diag-trap-true", "diag-trap-harm"):
-            with _field("adversary"):
-                validate_diagonal_trap(true_coll, harm_coll)
+        # The adversary picks its refinements by the built-in pair's index
+        # formula, so it plays that pair only.
+        if true_coll is None or harm_coll is None or (
+            (true_coll.name, harm_coll.name) != ("diag-trap-true", "diag-trap-harm")
+        ):
+            raise ScenarioError(
+                "adversary: diagonal plays only the diagonal_trap_true / "
+                "diagonal_trap_harm collection pair"
+            )
         return lambda: DiagonalAdversary(true_coll, harm_coll)
     raise ScenarioError(f"unknown adversary kind {kind!r}")
 

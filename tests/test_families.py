@@ -25,7 +25,6 @@ from limitgames.families import (
     identification_trap_collections,
     is_consistent_harm,
     is_consistent_true,
-    validate_diagonal_trap,
 )
 
 
@@ -140,19 +139,23 @@ def test_diagonal_trap_structure():
 
 def test_diagonal_trap_witness_and_validator():
     true_coll, harm_coll = diagonal_trap_collections()
-    validate_diagonal_trap(true_coll, harm_coll)
     i_true, i_harm, hole = diagonal_trap_witness(9)
     assert hole == 10 and i_true == i_harm == 6
-    sample = true_coll.at(1).prefix(64)
-    i_true, _, hole = diagonal_trap_witness(max(sample))
-    assert all(x in true_coll.at(i_true) for x in sample)
-    assert hole > max(sample)
-
-
-def test_diagonal_validator_rejects_bad_pair():
-    true_coll, harm_coll = diagonal_trap_collections()
-    with pytest.raises(CollectionError):
-        validate_diagonal_trap(harm_coll, true_coll)  # top difference not empty
+    # For the top pair's first ``bound`` members on each side, the witness
+    # pair holds both samples, refines the top pair properly and keeps an
+    # infinite difference.  Containing the whole prefix covers every sample
+    # drawn from it.
+    top_true, top_harm = true_coll.at(1), harm_coll.at(1)
+    for bound in (0, 1, 4, 32, 64):
+        sample_true, sample_harm = top_true.prefix(bound), top_harm.prefix(bound)
+        largest = max([0, *sample_true, *sample_harm])
+        i_true, i_harm, hole = diagonal_trap_witness(largest)
+        assert hole > largest, bound
+        ref_true, ref_harm = true_coll.at(i_true), harm_coll.at(i_harm)
+        assert all(x in ref_true for x in sample_true), bound
+        assert all(x in ref_harm for x in sample_harm), bound
+        assert ref_true < top_true and ref_harm < top_harm, bound
+        assert (ref_true - ref_harm).cardinality().is_infinite, bound
 
 
 def test_trap_members_are_canonical():

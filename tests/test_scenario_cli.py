@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -64,19 +67,34 @@ def test_unknown_kinds_rejected():
         parse_scenario(bad)
 
 
+# An explicit pair that looks like the built-in trap over the first 64 ranks,
+# but whose refinements then jump from 64 to 10**9: the adversary would scan
+# the whole gap for the next member of a refinement.
+GAP_TRAP = {
+    "true_collection": {"kind": "explicit", "sets": ["E", "(E & Ray(64,-1)) | Ray(1000000000,2)"]},
+    "harm_collection": {
+        "kind": "explicit",
+        "sets": ["Ray(0,1)", "(Ray(0,1) & Ray(64,-1)) | Ray(1000000001,2)"],
+    },
+    "learner": {"kind": "always_bottom"},
+    "horizon": 200,
+}
+
+
 def test_diagonal_adversary_rejects_a_pair_that_is_not_a_trap():
-    # The built-in trap pair loads; swapped, or with another collection,
-    # its vanishing-difference check fails at load.
+    # The diagonal adversary picks its refinements by the built-in trap's
+    # index formula, so only that pair loads: swapped, with another or no
+    # collection, or as explicit sets, the pair is refused at load.
     parse_scenario(catalogue_scenario("oracle_not_enough.json"))
-    for true_kind, harm_kind in (
-        ("diagonal_trap_harm", "diagonal_trap_true"),
-        ("identification_trap_true", "diagonal_trap_harm"),
+    for fields in (
+        {"harm_collection": None},
+        {"true_collection": {"kind": "diagonal_trap_harm"},
+         "harm_collection": {"kind": "diagonal_trap_true"}},
+        {"true_collection": {"kind": "identification_trap_true"},
+         "harm_collection": {"kind": "diagonal_trap_harm"}},
+        GAP_TRAP,
     ):
-        bad = catalogue_scenario(
-            "oracle_not_enough.json",
-            true_collection={"kind": true_kind},
-            harm_collection={"kind": harm_kind},
-        )
+        bad = catalogue_scenario("oracle_not_enough.json", **fields)
         with pytest.raises(ScenarioError, match="adversary"):
             parse_scenario(bad)
 
@@ -589,6 +607,39 @@ def test_cli_rank_limit_exits_2(tmp_path, capsys):
     # The critical learner's masks would reach rank 2 * 10**9.
     err = _run_bad(tmp_path, capsys, gen_scenario(**BIG_RAY))
     assert "error: universe rank 2000000000 exceeds the limit MAX_RANK" in err
+
+
+_LIMITED_RUN_SCRIPT = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from limitgames.cli import main
+start = time.perf_counter()
+code = main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("gap", [10**9, 10**15])
+def test_cli_walk_past_rank_limit_exits_2(tmp_path, gap):
+    # The second language's members jump from 64 to ``gap``, so the critical
+    # learner's escalation bound, which grows with a candidate's span, lies
+    # far past MAX_RANK: its walk's masks stop there, within 10 s and a
+    # 1 GB address space.
+    lang = f"(E & Ray(64,-1)) | Ray({gap},2)"
+    scenario = gen_scenario(
+        true_collection={"kind": "explicit", "sets": ["I", lang]},
+        adversary={"kind": "positive_stream", "lang": lang},
+    )
+    path = write_json(tmp_path / "gap.json", scenario)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_RUN_SCRIPT, str(path), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the limit MAX_RANK" in proc.stderr
+    assert float(proc.stdout) < 10.0
 
 
 @pytest.mark.parametrize(

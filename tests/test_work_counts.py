@@ -1,10 +1,11 @@
 """Algebra work of catalogue games, counted, not timed.
 
 Each game is played at its own horizon through ``run_game`` with counting
-wrappers on the ``PeriodicSet`` operations that a learner step could repeat
-every step: growing rank masks, taking pair differences, and building the
-empty set.  Each bound sits far below once per step, so work that comes
-back every step fails it, however fast the machine.
+wrappers on the ``PeriodicSet`` operations that a learner or adversary step
+could repeat every step: growing rank masks, taking pair differences, unions,
+and building the empty set.  Each bound sits far below once per step (the
+phased game's, once per phase, at half of it), so work that comes back every
+step fails it, however fast the machine.
 """
 
 from collections import Counter
@@ -28,10 +29,11 @@ def counts(monkeypatch):
 
         return wrapper
 
-    mask, sub = PeriodicSet.rank_mask_block, PeriodicSet.__sub__
+    mask, sub, union = PeriodicSet.rank_mask_block, PeriodicSet.__sub__, PeriodicSet.__or__
     build = PeriodicSet.__dict__["build"].__func__
     monkeypatch.setattr(PeriodicSet, "rank_mask_block", counting("mask", mask))
     monkeypatch.setattr(PeriodicSet, "__sub__", counting("difference", sub))
+    monkeypatch.setattr(PeriodicSet, "__or__", counting("union", union))
     monkeypatch.setattr(PeriodicSet, "build", staticmethod(counting("build", build)))
     return calls
 
@@ -49,6 +51,10 @@ def counts(monkeypatch):
         ("telltale_bottom.json", "difference", 16),
         # A positive stream's committed pair holds the empty set.
         ("generation.json", "build", 8),
+        # Each of the 1001 phases' safe language Q(-phase) is one union,
+        # built by the learner's collection; the adversary reads it from the
+        # pair-difference memo instead of building it again.
+        ("safe_id_impossible_eager.json", "union", 1001 + 8),
     ],
 )
 def test_repeated_work_is_done_once(counts, file, operation, bound):
