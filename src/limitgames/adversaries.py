@@ -152,6 +152,22 @@ class BoundaryRecord:
     cursor_harm: int
 
 
+def check_diagonal_pair(
+    coll_true: LanguageCollection | None, coll_harm: LanguageCollection | None
+) -> None:
+    """Raise AdversaryError unless the pair is the built-in diagonal trap, by
+    the names ``diagonal_trap_collections`` gives it: the diagonal adversary
+    picks its refinements by that pair's index formula, so on another pair
+    its next member may lie arbitrarily far out.  The rule trusts those
+    names: a collection built under one of them on another rule passes."""
+    if coll_true is None or coll_harm is None or (
+        (coll_true.name, coll_harm.name) != ("diag-trap-true", "diag-trap-harm")
+    ):
+        raise AdversaryError(
+            "diagonal plays only the diagonal_trap_true / diagonal_trap_harm collection pair"
+        )
+
+
 class DiagonalAdversary:
     """Diagonalizing stream over the vanishing-difference collections.
 
@@ -164,23 +180,22 @@ class DiagonalAdversary:
     skipped queues, then catches the true-side master enumeration up to the
     element that contradicts the refinement, and opens the next phase.
 
+    Both sides follow that one rule, so each piece of state is a pair indexed
+    by side, 0 true and 1 harm: the top and refinement languages, the master
+    enumerations, the count drawn from each and the skipped queues.  Only the
+    true side holds the refinement's hole, so only it ends a catch-up.
+
     During flush and catch-up the committed pair is the top pair (whose
     difference is empty); during mimicry it is the refinement pair.
     """
 
     def __init__(self, coll_true: LanguageCollection, coll_harm: LanguageCollection):
-        self.coll_true = coll_true
-        self.coll_harm = coll_harm
-        self._top_true = coll_true.at(1)
-        self._top_harm = coll_harm.at(1)
-        if not (self._top_true - self._top_harm).cardinality().is_empty:
-            raise AdversaryError("top pair of the trap collections must have empty difference")
-        self._master_true = self._top_true.iter_universe_order()
-        self._master_harm = self._top_harm.iter_universe_order()
-        self._cursor_true = 0  # master elements drawn so far
-        self._cursor_harm = 0
-        self._skipped_true: deque[int] = deque()
-        self._skipped_harm: deque[int] = deque()
+        check_diagonal_pair(coll_true, coll_harm)
+        self._colls = (coll_true, coll_harm)
+        self._top = (coll_true.at(1), coll_harm.at(1))
+        self._masters = tuple(lang.iter_universe_order() for lang in self._top)
+        self._cursors = [0, 0]  # master elements drawn so far
+        self._skipped: tuple[deque[int], deque[int]] = (deque(), deque())
         self._max_value = 0
         self._mode = "mimic"  # "mimic" | "flush" | "catchup"
         self.phase = 1
@@ -193,8 +208,7 @@ class DiagonalAdversary:
 
     def _choose_refinement(self) -> None:
         i_true, i_harm, hole = diagonal_trap_witness(self._max_value)
-        self._ref_true = self.coll_true.at(i_true)
-        self._ref_harm = self.coll_harm.at(i_harm)
+        self._ref = (self._colls[0].at(i_true), self._colls[1].at(i_harm))
         # The hole lies above every value emitted so far, so only this
         # phase can emit it.
         self._hole = hole
@@ -203,74 +217,45 @@ class DiagonalAdversary:
     def _advance_phase(self) -> None:
         self.phase += 1
         self.boundaries.append(
-            BoundaryRecord(
-                step=self._step,
-                new_phase=self.phase,
-                skipped_true=len(self._skipped_true),
-                skipped_harm=len(self._skipped_harm),
-                cursor_true=self._cursor_true,
-                cursor_harm=self._cursor_harm,
-            )
+            BoundaryRecord(self._step, self.phase, *map(len, self._skipped), *self._cursors)
         )
         self._choose_refinement()
         self._mode = "mimic"
 
     # -- emission ---------------------------------------------------------
 
-    def _next_master_true(self) -> int:
-        self._cursor_true += 1
-        return next(self._master_true)
-
-    def _next_master_harm(self) -> int:
-        self._cursor_harm += 1
-        return next(self._master_harm)
+    def _draw(self, side: int) -> int:
+        self._cursors[side] += 1
+        return next(self._masters[side])
 
     def emit(self, t: int) -> Emission:
         self._step = t
-        if self._mode == "flush" and not self._skipped_true and not self._skipped_harm:
+        if self._mode == "flush" and not any(self._skipped):
             # Everything skipped has been replayed; catch the true-side master
             # up to the contradicting element unless it already went out.
             if self._hole_emitted:
                 self._advance_phase()
             else:
                 self._mode = "catchup"
-        value: int
-        if t % 2 == 1:
-            value = self._emit_true()
-            example = LabeledExample(value, 1)
-        else:
-            value = self._emit_harm()
-            example = LabeledExample(value, 0)
-        self._max_value = max(self._max_value, value)
-        return Emission(example)
-
-    def _emit_true(self) -> int:
-        if self._mode == "flush" and self._skipped_true:
-            value = self._skipped_true.popleft()
+        side = 1 - t % 2  # odd steps draw the true side, even steps the harm side
+        skipped = self._skipped[side]
+        if self._mode == "flush" and skipped:
+            value = skipped.popleft()
         elif self._mode == "mimic":
-            value = self._next_master_true()
-            while value not in self._ref_true:
-                self._skipped_true.append(value)
-                value = self._next_master_true()
-        else:  # flush with an empty true queue, or catchup: raw master
-            value = self._next_master_true()
-            if self._mode == "catchup" and value == self._hole:
-                self._max_value = max(self._max_value, value)
+            refinement = self._ref[side]
+            value = self._draw(side)
+            while value not in refinement:
+                skipped.append(value)
+                value = self._draw(side)
+        else:  # flush with an empty queue, or catchup: raw master
+            value = self._draw(side)
+        self._max_value = max(self._max_value, value)
+        if side == 0 and value == self._hole:
+            if self._mode == "catchup":
                 self._advance_phase()
-        if value == self._hole:
-            self._hole_emitted = True
-        return value
-
-    def _emit_harm(self) -> int:
-        if self._mode == "flush" and self._skipped_harm:
-            return self._skipped_harm.popleft()
-        if self._mode == "mimic":
-            value = self._next_master_harm()
-            while value not in self._ref_harm:
-                self._skipped_harm.append(value)
-                value = self._next_master_harm()
-            return value
-        return self._next_master_harm()
+            else:
+                self._hole_emitted = True
+        return Emission(LabeledExample(value, 1 - side))
 
     # -- observation ------------------------------------------------------
 
@@ -278,16 +263,14 @@ class DiagonalAdversary:
         if self._mode != "mimic" or not output.is_generate:
             return
         word = output.value
-        if word in self._ref_true and word not in self._ref_harm:
+        if word in self._ref[0] and word not in self._ref[1]:
             # The learner produced a safe word for the pretended pair; stop
             # pretending and prepare the next refinement.
             self.detection_steps.append(self._step)
             self._mode = "flush"
 
     def current_pair(self) -> tuple[PeriodicSet, PeriodicSet]:
-        if self._mode == "mimic":
-            return self._ref_true, self._ref_harm
-        return self._top_true, self._top_harm
+        return self._ref if self._mode == "mimic" else self._top
 
     def limit_pair(self) -> tuple[PeriodicSet, PeriodicSet]:
-        return self._top_true, self._top_harm
+        return self._top

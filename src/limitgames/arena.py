@@ -25,7 +25,7 @@ from math import inf
 from typing import Callable, Iterable, Iterator
 
 from .adversaries import Adversary
-from .algebra import PeriodicSet, difference
+from .algebra import LimitError, PeriodicSet, difference
 from .families import LabeledExample, LanguageCollection, RevealedSet
 from .learners import Learner, LearnerOutput
 from .setspec import SetSpecError, format_set, parse
@@ -140,21 +140,23 @@ class Trace:
         integer field to an exact ``int``, each flag to an exact ``bool`` and
         ``output`` to one of ``_OUTPUT_KINDS``, and the pair strings are
         ``format_set`` output, which JSON never escapes.  A row the decoder
-        would refuse raises ScenarioError instead."""
+        would refuse raises ScenarioError instead, and a pair too wide to print
+        raises LimitError; both name the row's line."""
         head = {"schema": TRACE_SCHEMA, "scenario": self.scenario, "game": self.game.value,
                 "horizon": self.horizon, "window": self.window}
         yield json.dumps(head, sort_keys=True) + "\n"
         for n, s in enumerate(self.steps, start=2):
-            out, pair = s.output, s.pair
+            out = s.output
             try:
                 _check_step(s.t, s.element, s.label, s.injected, s.correct, s.phase, out.kind, out.value)
+                pair = "" if s.pair is None else _PAIR % (format_set(s.pair[0]), format_set(s.pair[1]))
             except ScenarioError as exc:
                 raise ScenarioError(f"trace line {n}: {exc}") from None
+            except LimitError as exc:
+                raise type(exc)(f"trace line {n}: field 'pair': {exc}") from None
             yield _ROW % (
                 "true" if s.correct else "false", s.element, "true" if s.injected else "false",
-                s.label, out.kind,
-                "" if pair is None else _PAIR % (format_set(pair[0]), format_set(pair[1])),
-                s.phase, s.t, "null" if out.value is None else out.value,
+                s.label, out.kind, pair, s.phase, s.t, "null" if out.value is None else out.value,
             )
 
     @staticmethod
@@ -310,7 +312,11 @@ def run_game(spec: ScenarioSpec) -> RunResult:
         pair = adversary.current_pair()
         new_pair = pair if pair != referee.pair else None
         example, phase = emission.example, adversary.phase
-        output = learner.step(referee.reveal(t, example, phase, new_pair), t)
+        revealed = referee.reveal(t, example, phase, new_pair)
+        try:
+            output = learner.step(revealed, t)
+        except LimitError as exc:
+            raise type(exc)(f"learner: {exc}") from None
         correct = referee.score(output)
         adversary.observe(output)
         trace.steps.append(

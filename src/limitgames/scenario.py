@@ -38,6 +38,7 @@ from .adversaries import (
     DiagonalAdversary,
     FairInterleaver,
     PhasedInjectionAdversary,
+    check_diagonal_pair,
 )
 from .arena import GameKind, ScenarioError, ScenarioSpec
 from .families import (
@@ -237,15 +238,10 @@ def _build_adversary(cfg: dict, true_coll, harm_coll):
             raise ScenarioError("phased_injection needs the true-side collection")
         return lambda: PhasedInjectionAdversary(true_coll)
     if kind == "diagonal":
-        # The adversary picks its refinements by the built-in pair's index
-        # formula, so it plays that pair only.
-        if true_coll is None or harm_coll is None or (
-            (true_coll.name, harm_coll.name) != ("diag-trap-true", "diag-trap-harm")
-        ):
-            raise ScenarioError(
-                "adversary: diagonal plays only the diagonal_trap_true / "
-                "diagonal_trap_harm collection pair"
-            )
+        try:
+            check_diagonal_pair(true_coll, harm_coll)
+        except AdversaryError as exc:
+            raise ScenarioError(f"adversary: {exc}") from None
         return lambda: DiagonalAdversary(true_coll, harm_coll)
     raise ScenarioError(f"unknown adversary kind {kind!r}")
 

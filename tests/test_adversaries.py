@@ -1,3 +1,7 @@
+import hashlib
+from dataclasses import astuple
+from itertools import islice
+
 import pytest
 
 from limitgames.adversaries import (
@@ -15,11 +19,14 @@ from limitgames.algebra import (
     y_set,
 )
 from limitgames.families import (
+    LanguageCollection,
     RevealedSet,
     diagonal_trap_collections,
     identification_trap_collections,
 )
 from limitgames.learners import LearnerOutput, reference_safe_generate
+from limitgames.setspec import format_set, parse
+from test_scenario_cli import GAP_TRAP
 
 I, O, E, N = all_integers(), odd_positives(), even_nonnegatives(), negative_integers()
 
@@ -186,39 +193,80 @@ def test_diagonal_never_advances_against_bottom():
     assert (committed[0] - committed[1]).cardinality().is_infinite
 
 
-def test_diagonal_flush_covers_skipped_prefix():
-    true_coll, harm_coll = diagonal_trap_collections()
-    adv = DiagonalAdversary(true_coll, harm_coll)
+def delayed_game(k, steps):
+    """Play the diagonal adversary against a learner that answers only at
+    steps divisible by ``k``, with the first unseen word of the committed
+    pair's difference (bottom when there is none), and bottom otherwise.
+    Its late answers let the refinement skip elements, so the queues fill
+    and flush.  Returns the adversary and, per step, the element, its label,
+    the phase and the printed pair where it changed."""
+    adv = DiagonalAdversary(*diagonal_trap_collections())
     revealed = RevealedSet()
-    emitted = set()
-
-    def learner(t, em):
-        emitted.add((em.example.element, em.example.label))
+    log, pair = [], None
+    for t in range(1, steps + 1):
+        em = adv.emit(t)
+        new_pair = adv.current_pair()
+        changed, pair = new_pair != pair, new_pair
+        assert em.example.element in pair[1 - em.example.label], (t, em)
         revealed.add(em.example)
-        k, h = adv.current_pair()
-        word = (k - h).first_not_in(revealed)
-        return LearnerOutput.generate(word) if word is not None else LearnerOutput.bottom()
+        word = (pair[0] - pair[1]).first_not_in(revealed) if t % k == 0 else None
+        log.append((em.example.element, em.example.label, adv.phase,
+                    tuple(map(format_set, pair)) if changed else None))
+        adv.observe(LearnerOutput.bottom() if word is None else LearnerOutput.generate(word))
+    return adv, log
 
-    drain(adv, 400, respond=learner)
+
+# The sha256 of ``delayed_game(k, 800)``'s per-step log, boundaries and
+# detection steps.  At k = 1 every phase ends by catch-up; at k = 17 and 40
+# the true queue (and at 40 the harm queue) pops elements, and phases end
+# from flush.
+DELAYED_DIGESTS = {
+    1: "0de4fa7d6d2cbac4892608ab0b0dd88d0e9ee4eef3d205ec35d38f007813cb32",
+    17: "3c302b8867d4d1a52a6d8b8c6f6f4d00b391c10f28b1cd47b5f3b7f8047a5ffa",
+    40: "a2d15dc05bfc797678d0a719631f1698c213318cca48abbd4308982228ac20d2",
+}
+
+
+@pytest.mark.parametrize("k", sorted(DELAYED_DIGESTS))
+def test_diagonal_delayed_learner_digest(k):
+    adv, log = delayed_game(k, 800)
+    record = (log, [astuple(b) for b in adv.boundaries], adv.detection_steps)
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == DELAYED_DIGESTS[k]
+
+
+def test_diagonal_flush_covers_skipped_prefix():
+    adv, log = delayed_game(40, 800)
     assert adv.phase >= 2
+    # The queues really flushed: on each side some element went out after a
+    # larger one, which the top enumerations (E and the naturals, both in
+    # increasing order) reach later.
+    for label in (0, 1):
+        side = [element for element, lab, _, _ in log if lab == label]
+        assert any(x < max(side[:i]) for i, x in enumerate(side) if i), label
     for boundary in adv.boundaries:
         assert boundary.skipped_true == 0
         assert boundary.skipped_harm == 0
     # Everything the master enumerations passed over has been emitted by the
     # last boundary: positions 1..cursor of each top enumeration.
     last = adv.boundaries[-1]
+    emitted = {(element, label) for element, label, _, _ in log[: last.step]}
     top_true, top_harm = adv.limit_pair()
-    for pos, x in enumerate(top_true.iter_universe_order(), start=1):
-        if pos > last.cursor_true:
-            break
-        assert (x, 1) in emitted, (pos, x)
-    for pos, x in enumerate(top_harm.iter_universe_order(), start=1):
-        if pos > last.cursor_harm:
-            break
-        assert (x, 0) in emitted, (pos, x)
+    assert all((x, 1) in emitted for x in islice(top_true.iter_universe_order(), last.cursor_true))
+    assert all((x, 0) in emitted for x in islice(top_harm.iter_universe_order(), last.cursor_harm))
 
 
 def test_diagonal_rejects_bad_collections():
     true_coll, harm_coll = diagonal_trap_collections()
     with pytest.raises(AdversaryError):
         DiagonalAdversary(harm_coll, true_coll)
+    with pytest.raises(AdversaryError):
+        DiagonalAdversary(true_coll, None)
+    # The explicit gap pair: it looks like the trap over the first 64 ranks,
+    # but its refinements jump to 10**9, and an adversary built on it would
+    # scan the whole gap.
+    gap = [
+        LanguageCollection.explicit(side, [parse(x) for x in GAP_TRAP[f"{side}_collection"]["sets"]])
+        for side in ("true", "harm")
+    ]
+    with pytest.raises(AdversaryError, match="diagonal_trap_true"):
+        DiagonalAdversary(*gap)

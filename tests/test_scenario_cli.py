@@ -95,7 +95,7 @@ def test_diagonal_adversary_rejects_a_pair_that_is_not_a_trap():
         GAP_TRAP,
     ):
         bad = catalogue_scenario("oracle_not_enough.json", **fields)
-        with pytest.raises(ScenarioError, match="adversary"):
+        with pytest.raises(ScenarioError, match="^adversary: diagonal plays only"):
             parse_scenario(bad)
 
 
@@ -557,7 +557,7 @@ def test_cli_period_limit_during_play_exits_2(tmp_path, capsys):
         adversary={"kind": "fair_interleaver", **pair}, learner={"kind": "reference", **pair}
     )
     err = _run_bad(tmp_path, capsys, bad)
-    assert "error: a tail period (or lcm of two) of 90300" in err and "MAX_PERIOD" in err
+    assert "error: learner: a tail period (or lcm of two) of 90300" in err and "MAX_PERIOD" in err
 
 
 # Each set parses, but validating the collections at load compares or
@@ -606,7 +606,7 @@ def test_cli_big_ray_game_exits_0(tmp_path, capsys):
 def test_cli_rank_limit_exits_2(tmp_path, capsys):
     # The critical learner's masks would reach rank 2 * 10**9.
     err = _run_bad(tmp_path, capsys, gen_scenario(**BIG_RAY))
-    assert "error: universe rank 2000000000 exceeds the limit MAX_RANK" in err
+    assert "error: learner: universe rank 2000000000 exceeds the limit MAX_RANK" in err
 
 
 _LIMITED_RUN_SCRIPT = """
@@ -638,7 +638,7 @@ def test_cli_walk_past_rank_limit_exits_2(tmp_path, gap):
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "exceeds the limit MAX_RANK" in proc.stderr
+    assert "error: learner: universe rank 16777217 exceeds the limit MAX_RANK" in proc.stderr
     assert float(proc.stdout) < 10.0
 
 
@@ -651,7 +651,7 @@ def test_cli_walk_past_rank_limit_exits_2(tmp_path, gap):
         ),
         (
             {"adversary": {"kind": "positive_stream", "lang": "Ray(-1000000000,1) \\ Fin{5}"}},
-            "error: listing",
+            "error: trace line 2: field 'pair': listing 1000000005 points",
         ),
     ],
     ids=["half", "window"],
