@@ -25,7 +25,7 @@ from .algebra import (
     negative_integers,
     y_set,
 )
-from .families import LabeledExample, LanguageCollection, diagonal_trap_witness
+from .families import LabeledExample, LanguageCollection, diagonal_trap_witness, is_diagonal_trap
 from .learners import LearnerOutput
 
 
@@ -155,14 +155,11 @@ class BoundaryRecord:
 def check_diagonal_pair(
     coll_true: LanguageCollection | None, coll_harm: LanguageCollection | None
 ) -> None:
-    """Raise AdversaryError unless the pair is the built-in diagonal trap, by
-    the names ``diagonal_trap_collections`` gives it: the diagonal adversary
-    picks its refinements by that pair's index formula, so on another pair
-    its next member may lie arbitrarily far out.  The rule trusts those
-    names: a collection built under one of them on another rule passes."""
-    if coll_true is None or coll_harm is None or (
-        (coll_true.name, coll_harm.name) != ("diag-trap-true", "diag-trap-harm")
-    ):
+    """Raise AdversaryError unless the pair is the built-in diagonal trap,
+    built on the rules of ``diagonal_trap_collections`` whatever its names:
+    the diagonal adversary picks its refinements by that pair's index
+    formula, so on another pair its next member may lie arbitrarily far out."""
+    if coll_true is None or coll_harm is None or not is_diagonal_trap(coll_true, coll_harm):
         raise AdversaryError(
             "diagonal plays only the diagonal_trap_true / diagonal_trap_harm collection pair"
         )

@@ -317,7 +317,10 @@ def run_game(spec: ScenarioSpec) -> RunResult:
             output = learner.step(revealed, t)
         except LimitError as exc:
             raise type(exc)(f"learner: {exc}") from None
-        correct = referee.score(output)
+        try:
+            correct = referee.score(output)
+        except LimitError as exc:
+            raise type(exc)(f"adversary: {exc}") from None
         adversary.observe(output)
         trace.steps.append(
             StepRecord(t, example.element, example.label, emission.injected,

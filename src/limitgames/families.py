@@ -249,6 +249,20 @@ def identification_trap_collections() -> tuple[LanguageCollection, LanguageColle
     )
 
 
+def _diagonal_true(i: int) -> PeriodicSet:
+    if i == 1:
+        return even_nonnegatives()
+    hole = 2 * (i - 1)
+    return even_nonnegatives() - PeriodicSet.finite({hole})
+
+
+def _diagonal_harm(i: int) -> PeriodicSet:
+    if i == 1:
+        return naturals()
+    hole = 2 * (i - 1)
+    return naturals() - PeriodicSet.ray(hole + 2, 2)
+
+
 def diagonal_trap_collections() -> tuple[LanguageCollection, LanguageCollection]:
     """Collection pair with vanishing differences, over the nonnegatives.
 
@@ -262,23 +276,15 @@ def diagonal_trap_collections() -> tuple[LanguageCollection, LanguageCollection]
     Every finite sample from the top pair fits some refinement pair, which is
     what lets the diagonal adversary keep revising forever.
     """
-
-    def true_rule(i: int) -> PeriodicSet:
-        if i == 1:
-            return even_nonnegatives()
-        hole = 2 * (i - 1)
-        return even_nonnegatives() - PeriodicSet.finite({hole})
-
-    def harm_rule(i: int) -> PeriodicSet:
-        if i == 1:
-            return naturals()
-        hole = 2 * (i - 1)
-        return naturals() - PeriodicSet.ray(hole + 2, 2)
-
     return (
-        LanguageCollection("diag-trap-true", true_rule),
-        LanguageCollection("diag-trap-harm", harm_rule),
+        LanguageCollection("diag-trap-true", _diagonal_true),
+        LanguageCollection("diag-trap-harm", _diagonal_harm),
     )
+
+
+def is_diagonal_trap(coll_true: LanguageCollection, coll_harm: LanguageCollection) -> bool:
+    """Are the two collections built on the rules of ``diagonal_trap_collections``?"""
+    return (coll_true._rule, coll_harm._rule) == (_diagonal_true, _diagonal_harm)
 
 
 def diagonal_trap_witness(max_value: int) -> tuple[int, int, int]:

@@ -12,10 +12,10 @@ Two families of learners live here:
   ``ConservativePairGenerator`` escalates the cutoff over drop points (with
   no harm collection it is the critical-language generator);
   ``NaiveIdentifier`` reads the first live candidate; ``TelltaleGenerator``
-  tests telltales as rank masks; ``ProbeIdentifier`` keeps every compared
-  pair's probe sample and extends it by one word per side a step.  The
-  classes produce the same outputs as the functions; tests pin that
-  equivalence step by step.
+  tests telltales as rank masks; ``ProbeIdentifier`` asks each compared
+  pair the exact subroutine's question on an empty sample.  The classes
+  produce the same outputs as the functions; tests pin that equivalence
+  step by step.
 
 Generation learners pick candidates by finite-prefix evidence: a candidate
 is *critical* at cutoff m when its m-prefix is contained in the m-prefix of
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import inf
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, TypeVar
+from typing import Callable, Iterable, NamedTuple, Protocol, TypeVar
 
 from .algebra import (
     MAX_RANK, Cardinality, PeriodicSet, check_rank, difference, universe_elem, universe_index,
@@ -106,15 +106,6 @@ class LearnerOutput:
 
 class Learner(Protocol):
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput: ...
-
-
-# A pluggable safe-generation subroutine: explicit hypothesis pair plus a
-# labeled sample in, one move out.  A probe's sample holds the first t
-# members of each hypothesis in universe order (t the game step),
-# interleaved true word then harm word.  ``ProbeIdentifier`` passes the same
-# sample object again at later steps, extended in place, so ``sg`` must not
-# mutate it.
-SgSubroutine = Callable[[PeriodicSet, PeriodicSet, RevealedSet], LearnerOutput]
 
 
 # ----------------------------------------------------------------------
@@ -278,9 +269,7 @@ def _dual_best_sets(coll: LanguageCollection, cons: list[int], m: int) -> int | 
 # ----------------------------------------------------------------------
 
 
-def _probe_one(
-    k_lang: PeriodicSet, h_lang: PeriodicSet, t: int, sg: SgSubroutine
-) -> int:
+def _probe_one(k_lang: PeriodicSet, h_lang: PeriodicSet, t: int) -> int:
     # Feed the subroutine a fresh labeled enumeration (t words per side,
     # true word then harm word).
     probe = RevealedSet()
@@ -293,23 +282,18 @@ def _probe_one(
         hx = next(h_iter, None)
         if hx is not None:
             probe.add(LabeledExample(hx, 0))
-    return _sg_hits(k_lang, h_lang, probe, sg)
+    return _sg_hits(k_lang, h_lang, probe)
 
 
-def _sg_hits(
-    k_lang: PeriodicSet, h_lang: PeriodicSet, probe: RevealedSet, sg: SgSubroutine
-) -> int:
+def _sg_hits(k_lang: PeriodicSet, h_lang: PeriodicSet, probe: RevealedSet) -> int:
     # Check the subroutine's output with the membership oracles: did it
     # produce an element of k_lang \ h_lang?
-    out = sg(k_lang, h_lang, probe)
+    out = relaxed_reference_sg(k_lang, h_lang, probe)
     return 1 if out.is_generate and out.value in k_lang and out.value not in h_lang else 0
 
 
 def subset_probe(
-    left: PeriodicSet,
-    right: PeriodicSet,
-    revealed: RevealedSet,
-    sg: SgSubroutine | None = None,
+    left: PeriodicSet, right: PeriodicSet, revealed: RevealedSet
 ) -> tuple[int, int]:
     """Classify the pair by two generation attempts.
 
@@ -317,15 +301,12 @@ def subset_probe(
     Bit two: of right minus left?  The four patterns separate proper subset
     (01 / 10), equality (00) and incomparability or disjointness (11).
     """
-    sub = sg or relaxed_reference_sg
     t = revealed.step
-    return (_probe_one(left, right, t, sub), _probe_one(right, left, t, sub))
+    return (_probe_one(left, right, t), _probe_one(right, left, t))
 
 
 def order_consistent(
-    entries: list[tuple[int, PeriodicSet]],
-    revealed: RevealedSet,
-    sg: SgSubroutine | None = None,
+    entries: list[tuple[int, PeriodicSet]], revealed: RevealedSet
 ) -> list[tuple[int, PeriodicSet]]:
     """Insertion-order the consistent list so subsets precede supersets.
 
@@ -334,11 +315,10 @@ def order_consistent(
     left neighbour cannot generate outside it, which means the neighbour is
     contained in it (or equal) and must stay left.
     """
-    sub = sg or relaxed_reference_sg
     t = revealed.step
     return _insertion_order(
         sorted(entries, key=lambda e: e[0]),
-        lambda left, right: _probe_one(left[1], right[1], t, sub),
+        lambda left, right: _probe_one(left[1], right[1], t),
     )
 
 
@@ -359,10 +339,7 @@ def _insertion_order(entries: list[_E], left_generates: Callable[[_E, _E], int])
 
 
 def identify_with_probes(
-    coll: LanguageCollection,
-    revealed: RevealedSet,
-    t: int,
-    sg: SgSubroutine | None = None,
+    coll: LanguageCollection, revealed: RevealedSet, t: int
 ) -> LearnerOutput:
     """Guess the index of the left-most consistent language after ordering.
 
@@ -373,7 +350,7 @@ def identify_with_probes(
     entries = [(i, coll.at(i)) for i in consistent_indices(coll, revealed, t, "true")]
     if not entries:
         return LearnerOutput.index(1)
-    ordered = order_consistent(entries, revealed, sg)
+    ordered = order_consistent(entries, revealed)
     return LearnerOutput.index(ordered[0][0])
 
 
@@ -809,57 +786,27 @@ class ConservativePairGenerator(_DropWalker):
 class ProbeIdentifier(_DropWalker):
     """Identification via ordered consistent lists and generation probes.
 
-    Keeps the live candidates by masks, each live language's members in
-    universe order, and each compared pair's probe sample, one word per
-    side longer every step; outputs and subroutine calls match
-    :func:`identify_with_probes` step for step.  Kills are permanent, so
-    the members and probes of a dead candidate are dropped.
+    Keeps the live candidates by masks and orders them as
+    :func:`identify_with_probes` does, with the same outputs step for step.
+    The subroutine is exact, so whether it hits the difference depends on
+    the pair alone: it returns a member of an infinite difference whatever
+    the sample holds, and the fixed word ``universe_elem(1)`` otherwise.  So
+    each comparison asks it on one empty sample, not on a probe of t words
+    per side.
     """
 
-    def __init__(self, coll: LanguageCollection, sg: SgSubroutine | None = None):
+    def __init__(self, coll: LanguageCollection):
         super().__init__(_SideTracker(coll, 1))
-        self.sg = sg or relaxed_reference_sg
-        self._members: dict[int, tuple[list[int], Iterator[int]]] = {}
-        self._probes: dict[tuple[int, int], RevealedSet] = {}
-
-    def _words(self, c: _Candidate, t: int) -> list[int]:
-        """The first ``t`` members of ``c`` in universe order (at least)."""
-        entry = self._members.get(c.index)
-        if entry is None:
-            entry = self._members[c.index] = ([], c.lang.iter_universe_order())
-        words, rest = entry
-        while len(words) < t:
-            words.append(next(rest))
-        return words
-
-    def _generates(self, left: _Candidate, right: _Candidate, t: int) -> int:
-        """The probe of ``left`` minus ``right``: their sample, extended to
-        ``t`` words per side, fed to the subroutine."""
-        key = (left.index, right.index)
-        probe = self._probes.get(key)
-        if probe is None:
-            probe = self._probes[key] = RevealedSet()
-        k_words, h_words = self._words(left, t), self._words(right, t)
-        for j in range(probe.step // 2, t):
-            probe.add(LabeledExample(k_words[j], 1))
-            probe.add(LabeledExample(h_words[j], 0))
-        return _sg_hits(left.lang, right.lang, probe, self.sg)
 
     def step(self, revealed: RevealedSet, t: int) -> LearnerOutput:
-        dead = {c.index for c in self._observe(revealed, t)}
-        if dead:
-            for i in dead:
-                self._members.pop(i, None)
-            self._probes = {
-                key: probe
-                for key, probe in self._probes.items()
-                if key[0] not in dead and key[1] not in dead
-            }
+        self._observe(revealed, t)
         live = self._sides[0].live
         if not live:
             return LearnerOutput.index(1)
-        n = revealed.step
-        ordered = _insertion_order(live, lambda left, right: self._generates(left, right, n))
+        empty = RevealedSet()
+        ordered = _insertion_order(
+            live, lambda left, right: _sg_hits(left.lang, right.lang, empty)
+        )
         return LearnerOutput.index(ordered[0].index)
 
 

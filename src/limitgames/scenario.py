@@ -137,7 +137,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> ScenarioSpec:
     true_coll = _build_collection(obj.get("true_collection"), "true")
     harm_coll = _build_collection(obj.get("harm_collection"), "harm")
     adversary_factory = _build_adversary(obj["adversary"], true_coll, harm_coll)
-    learner_factory = _build_learner(obj["learner"], true_coll, harm_coll)
+    learner_factory = _build_learner(obj["learner"], game, true_coll, harm_coll)
     spec = ScenarioSpec(
         name=_name(obj, default_name),
         game=game,
@@ -246,12 +246,24 @@ def _build_adversary(cfg: dict, true_coll, harm_coll):
     raise ScenarioError(f"unknown adversary kind {kind!r}")
 
 
-def _build_learner(cfg: dict, true_coll, harm_coll):
-    _require_keys(cfg, {"kind", "true", "harm", "strict"}, {"kind"}, "learner")
+_IDENTIFIERS = ("probe_identifier", "naive_identifier", "eager_identifier", "stubborn_identifier")
+_GENERATORS = ("critical", "conservative", "reference", "telltale", "always_bottom")
+
+
+def _build_learner(cfg: dict, game: GameKind, true_coll, harm_coll):
+    """The learner's factory.  Identifiers play only the identification games
+    and generators only the generation games; a generator gives up with
+    bottom except in ``sg_relaxed``, which accepts any word instead."""
+    _require_keys(cfg, {"kind", "true", "harm"}, {"kind"}, "learner")
     kind = cfg["kind"]
-    strict = cfg.get("strict", True)
-    if not isinstance(strict, bool):
-        raise ScenarioError("'strict' must be a boolean")
+    if kind not in _IDENTIFIERS + _GENERATORS:
+        raise ScenarioError(f"unknown learner kind {kind!r}")
+    if (kind in _IDENTIFIERS) != (game in (GameKind.SI, GameKind.LI)):
+        games = "si and li" if kind in _IDENTIFIERS else "sg, sg_inf and sg_relaxed"
+        raise ScenarioError(
+            f"learner.kind {kind!r} does not fit game {game.value!r}; it plays only {games}"
+        )
+    strict = game is not GameKind.SG_RELAXED
 
     def need_true() -> LanguageCollection:
         if true_coll is None:
@@ -267,7 +279,7 @@ def _build_learner(cfg: dict, true_coll, harm_coll):
         # The pair learner with no harm side; a declared harm collection
         # is left to the adversary and the scoring.
         coll = need_true()
-        return lambda: learners.ConservativePairGenerator(coll)
+        return lambda: learners.ConservativePairGenerator(coll, strict=strict)
     if kind == "conservative":
         ct, ch = need_true(), need_harm()
         return lambda: learners.ConservativePairGenerator(ct, ch, strict=strict)
@@ -291,6 +303,4 @@ def _build_learner(cfg: dict, true_coll, harm_coll):
         return lambda: learners.EagerIdentifier(coll)
     if kind == "stubborn_identifier":
         return lambda: learners.StubbornIdentifier()
-    if kind == "always_bottom":
-        return lambda: learners.AlwaysBottom()
-    raise ScenarioError(f"unknown learner kind {kind!r}")
+    return lambda: learners.AlwaysBottom()  # the last kind: always_bottom

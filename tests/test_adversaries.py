@@ -270,3 +270,6 @@ def test_diagonal_rejects_bad_collections():
     ]
     with pytest.raises(AdversaryError, match="diagonal_trap_true"):
         DiagonalAdversary(*gap)
+    # An impostor: the trap's name on another rule.
+    with pytest.raises(AdversaryError, match="diagonal_trap_true"):
+        DiagonalAdversary(LanguageCollection("diag-trap-true", lambda i: E), harm_coll)

@@ -16,7 +16,7 @@ import signal
 import pytest
 
 from limitgames.cli import CATALOGUE, main
-from test_scenario_cli import BIG_RAY, GAP_TRAP, HUGE_PERIODS
+from test_scenario_cli import BIG_RAY, GAP_TRAP, HUGE_PERIODS, LCM_SCORING
 
 SECONDS = 10
 # What a field is replaced by; DELETE removes it instead.
@@ -196,6 +196,7 @@ FIXED = {
         "error: learner:",
     ),
     "diagonal_pair": ({**_game("oracle_not_enough.json"), **GAP_TRAP}, 2, "error: adversary:"),
+    "scoring": ({**_game("generation.json"), **LCM_SCORING}, 2, "error: adversary: a tail period"),
 }
 
 

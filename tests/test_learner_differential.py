@@ -4,11 +4,12 @@
 and rank masks, with a harm collection or without one (the critical
 learner); ``conservative_pair_generate`` recomputes every cutoff from the
 revealed sample.  ``NaiveIdentifier``, ``ProbeIdentifier`` and
-``TelltaleGenerator`` keep consistency (and probe samples) across steps;
-``naive_identify``, ``identify_with_probes`` and ``telltale_safe_generate``
-start over every step.  Every step must give the same move, or both must raise.  The side
-trackers under them are checked on their own against the definition of
-criticality over random rank masks.
+``TelltaleGenerator`` keep consistency across steps; ``naive_identify``,
+``identify_with_probes`` and ``telltale_safe_generate`` start over every
+step, ``identify_with_probes`` with a fresh probe of t words per side for
+each comparison.  Every step must give the same move, or both must raise.
+The side trackers under them are checked on their own against the
+definition of criticality over random rank masks.
 """
 
 import json
@@ -39,7 +40,6 @@ from limitgames.learners import (
     conservative_pair_generate,
     identify_with_probes,
     naive_identify,
-    relaxed_reference_sg,
     telltale_safe_generate,
 )
 from limitgames.setspec import parse
@@ -270,37 +270,6 @@ def test_probe_identifier_matches_function(game, other, fair):
     )
 
 
-def recording(log):
-    """The relaxed reference subroutine, logging the hypotheses and the
-    sample's events of every call."""
-
-    def sg(k_lang, h_lang, sample):
-        log.append((k_lang, h_lang, tuple(sample.events)))
-        return relaxed_reference_sg(k_lang, h_lang, sample)
-
-    return sg
-
-
-@settings(max_examples=4, deadline=None)
-@given(around_target(3))
-def test_probe_identifier_feeds_sg_what_a_fresh_probe_holds(game):
-    # The identifier extends one sample per compared pair across steps; the
-    # functional form builds each probe afresh (``_probe_one``).  Every call
-    # must see the same hypotheses and the same events, in the same order.
-    target, coll = game
-    kept, fresh = [], []
-    learner = ProbeIdentifier(coll, recording(kept))
-    adversary = FairInterleaver(target)
-    revealed = RevealedSet()
-    for t in range(1, 61):
-        revealed.add(adversary.emit(t).example)
-        out = learner.step(revealed, t)
-        assert out == identify_with_probes(coll, revealed, t, recording(fresh)), t
-        assert kept == fresh, t
-        kept.clear()
-        fresh.clear()
-
-
 TELLTALE_GAME = json.loads((CATALOGUE / "telltale_bottom.json").read_text())
 
 
@@ -504,7 +473,7 @@ def test_side_tracker_matches_definition(masks, ops, initial, label):
 def test_probe_identifier_forgets_dead_candidates():
     # The first candidate holds the first two words of E's stream, 0 and 2,
     # and is compared with the second at step 2; it dies at the third word,
-    # 4, and from then on no probe or member list names it.
+    # 4, and from then on it is never compared again.
     coll = LanguageCollection.explicit(
         "c", [parse("Fin{0, 2} | Ray(6, 2)"), parse("I"), parse("N"), parse("E")]
     )
@@ -517,8 +486,23 @@ def test_probe_identifier_forgets_dead_candidates():
         assert out == identify_with_probes(coll, revealed, t), t
         live = {c.index for c in learner._sides[0].live}
         if t == 2:
-            assert live == {1, 2} and (1, 2) in learner._probes and 1 in learner._members
+            assert live == {1, 2}
         if t >= 3:
             assert 1 not in live
-        assert all(i in live for key in learner._probes for i in key), t
-        assert set(learner._members) <= live, t
+
+
+@pytest.mark.parametrize("extra, head", [("Fin{0}", 2), ("Fin{-2}", 1)])
+def test_probe_identifier_reads_the_word_of_a_finite_difference(extra, head):
+    # The pair's difference is the single point of ``extra``, so the relaxed
+    # subroutine plays its fixed word 0: a hit, which puts O first, exactly
+    # when that point is 0.  A class that tested only whether the difference
+    # is infinite would keep index 1 in both cases.
+    coll = LanguageCollection.explicit("c", [parse(f"O | {extra}"), parse("O")])
+    learner = ProbeIdentifier(coll)
+    adversary = FairInterleaver(parse("O"))
+    revealed = RevealedSet()
+    for t in range(1, 21):
+        revealed.add(adversary.emit(t).example)
+        out = learner.step(revealed, t)
+        assert out == identify_with_probes(coll, revealed, t), t
+        assert out.value == (head if t >= 2 else 1), t

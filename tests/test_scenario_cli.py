@@ -41,6 +41,52 @@ def test_unknown_fields_rejected():
         parse_scenario(bad)
 
 
+# Each learner kind in a game it does not fit: identifiers play only the
+# identification games and generators only the generation games.
+MISFITS = {
+    "probe_identifier": ("telltale_bottom.json", "sg"),
+    "naive_identifier": ("telltale_bottom.json", "sg_relaxed"),
+    "eager_identifier": ("sg_inf.json", "sg_inf"),
+    "stubborn_identifier": ("telltale_bottom.json", "sg"),
+    "critical": ("safe_id_impossible_eager.json", "si"),
+    "conservative": ("safe_id_impossible_eager.json", "li"),
+    "reference": ("safe_id_impossible_eager.json", "si"),
+    "telltale": ("safe_id_impossible_eager.json", "li"),
+    "always_bottom": ("safe_id_impossible_eager.json", "si"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MISFITS))
+def test_cli_learner_that_does_not_fit_the_game_exits_2(tmp_path, capsys, kind):
+    file, game = MISFITS[kind]
+    learner = {"kind": kind, **({"true": "I", "harm": "E"} if kind == "reference" else {})}
+    scenario = catalogue_scenario(file, game=game, learner=learner, horizon=60, window=10)
+    err = _run_bad(tmp_path, capsys, scenario)
+    assert f"error: learner.kind {kind!r} does not fit game {game!r}" in err
+
+
+def test_learner_strict_is_not_a_field(tmp_path, capsys):
+    bad = catalogue_scenario("conservative_fails.json", learner={"kind": "conservative", "strict": False})
+    assert "error: unknown fields in learner: ['strict']" in _run_bad(tmp_path, capsys, bad)
+
+
+def test_relaxed_game_plays_a_word_where_sg_plays_bottom(tmp_path):
+    # The conservative learner's chosen difference, I minus I, is empty: in
+    # ``sg`` it gives up with bottom, in ``sg_relaxed`` with the word 0.
+    outputs = {}
+    for game in ("sg", "sg_relaxed"):
+        path = write_json(tmp_path / f"{game}.json", catalogue_scenario(
+            "conservative_fails.json", name=game, game=game, horizon=60, window=10
+        ))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / f"{game}.trace.jsonl").read_text().splitlines()[1:]
+        outputs[game] = [(row["output"], row["value"]) for row in map(json.loads, rows)]
+    bottoms = [t for t, out in enumerate(outputs["sg"]) if out == ("bottom", None)]
+    assert bottoms
+    for t, (sg, relaxed) in enumerate(zip(outputs["sg"], outputs["sg_relaxed"])):
+        assert relaxed == (("generate", 0) if t in bottoms else sg), t
+
+
 def test_version_mismatch_rejected(tmp_path):
     bad = gen_scenario()
     bad["version"] = 2
@@ -558,6 +604,21 @@ def test_cli_period_limit_during_play_exits_2(tmp_path, capsys):
     )
     err = _run_bad(tmp_path, capsys, bad)
     assert "error: learner: a tail period (or lcm of two) of 90300" in err and "MAX_PERIOD" in err
+
+
+# The same pair against a learner that plays bottom: scoring bottom builds
+# the pair's difference, so the limit is met in the adversary's pair.
+LCM_SCORING = {
+    "horizon": 20,
+    "window": 2,
+    "adversary": {"kind": "fair_interleaver", "true": "Ray(0,300)", "harm": "Ray(0,301)"},
+    "learner": {"kind": "always_bottom"},
+}
+
+
+def test_cli_period_limit_while_scoring_exits_2(tmp_path, capsys):
+    err = _run_bad(tmp_path, capsys, gen_scenario(**LCM_SCORING))
+    assert "error: adversary: a tail period (or lcm of two) of 90300" in err and "MAX_PERIOD" in err
 
 
 # Each set parses, but validating the collections at load compares or
